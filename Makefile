@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json bench bench-smoke bench-baseline scale-smoke sssp-bench construct-bench pipeline-bench pipecast-bench churn-bench query-bench
+.PHONY: all build test race vet lint lint-json perfbench-check bench bench-smoke bench-baseline scale-smoke sssp-bench construct-bench pipeline-bench pipecast-bench churn-bench query-bench
 
 all: vet lint build test
 
@@ -28,6 +28,12 @@ lint:
 # annotations and tooling).
 lint-json:
 	$(GO) run ./cmd/congestlint -json ./...
+
+# perfbench-check vets and short-tests the benchmark harness. perfbench is
+# a module of its own, so the root `go test ./...` never compiles it; this
+# catches a rename of any API it imports before the benchmark run does.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .

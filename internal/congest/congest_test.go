@@ -1,6 +1,7 @@
 package congest_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,95 +12,91 @@ import (
 	"repro/internal/shortcut"
 )
 
+// shared wraps one RoundFunc as a protocol every node runs.
+func shared(f congest.RoundFunc) congest.SyncProtocol {
+	return func(*congest.Node) congest.RoundFunc { return f }
+}
+
 func TestRunPingPong(t *testing.T) {
 	g := gen.Path(2)
 	vals := make([]uint64, 2)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
-			n.Send(0, congest.Words{42})
-		}
-		msgs, ok := n.Step()
-		if !ok {
-			return
-		}
-		for _, m := range msgs {
-			vals[n.ID] = m.Payload[0]
-			n.Send(m.Port, congest.Words{m.Payload[0] + 1})
-		}
-		msgs, ok = n.Step()
-		if !ok {
-			return
+	stats, err := congest.RunSync(g, shared(func(n *congest.Node, msgs []congest.Message) bool {
+		if n.Round() == 1 {
+			if n.ID == 0 {
+				n.Send(0, congest.Words{42})
+			}
+			return true
 		}
 		for _, m := range msgs {
 			vals[n.ID] = m.Payload[0]
+			if n.Round() == 2 {
+				n.Send(m.Port, congest.Words{m.Payload[0] + 1})
+			}
 		}
-	}
-	stats, err := congest.Run(g, f, congest.Options{})
+		return n.Round() == 2
+	}), congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vals[1] != 42 || vals[0] != 43 {
 		t.Fatalf("vals %v", vals)
 	}
-	if stats.Messages != 2 {
-		t.Fatalf("messages %d want 2", stats.Messages)
+	if stats.Messages != 2 || stats.Rounds != 3 {
+		t.Fatalf("messages %d rounds %d, want 2 and 3", stats.Messages, stats.Rounds)
 	}
 }
 
 func TestBandwidthEnforced(t *testing.T) {
 	g := gen.Path(2)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
+	proto := shared(func(n *congest.Node, _ []congest.Message) bool {
+		if n.ID == 0 && n.Round() == 1 {
 			n.Send(0, congest.Words{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 		}
-		n.Step()
-	}
-	if _, err := congest.Run(g, f, congest.Options{Bandwidth: 128}); err == nil {
+		return n.Round() == 1
+	})
+	if _, err := congest.RunSync(g, proto, congest.Options{Bandwidth: 128}); err == nil {
 		t.Fatal("oversized message accepted")
 	}
 }
 
 func TestDoubleSendRejected(t *testing.T) {
 	g := gen.Path(2)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
+	proto := shared(func(n *congest.Node, _ []congest.Message) bool {
+		if n.ID == 0 && n.Round() == 1 {
 			n.Send(0, congest.Words{1})
 			n.Send(0, congest.Words{2})
 		}
-		n.Step()
-	}
-	if _, err := congest.Run(g, f, congest.Options{}); err == nil {
+		return n.Round() == 1
+	})
+	if _, err := congest.RunSync(g, proto, congest.Options{}); err == nil {
 		t.Fatal("double send accepted")
 	}
 }
 
 func TestMaxRoundsAborts(t *testing.T) {
 	g := gen.Path(3)
-	f := func(n *congest.Node) {
-		for {
-			n.Broadcast(congest.Words{0})
-			if _, ok := n.Step(); !ok {
-				return
-			}
-		}
-	}
-	if _, err := congest.Run(g, f, congest.Options{MaxRounds: 10}); err == nil {
-		t.Fatal("runaway protocol not aborted")
+	proto := shared(func(n *congest.Node, _ []congest.Message) bool {
+		n.Broadcast(congest.Words{0})
+		return true
+	})
+	if _, err := congest.RunSync(g, proto, congest.Options{MaxRounds: 10}); !errors.Is(err, congest.ErrAborted) {
+		t.Fatalf("runaway protocol: got %v, want ErrAborted", err)
 	}
 }
 
 func TestUnevenTermination(t *testing.T) {
-	// Nodes exit after ID-many rounds; the engine must not deadlock.
+	// Node v stops after v+1 rounds; the engine must keep running until the
+	// last node stops, and no longer.
 	g := gen.Cycle(6)
-	f := func(n *congest.Node) {
-		for r := 0; r <= n.ID; r++ {
-			if _, ok := n.Step(); !ok {
-				return
-			}
-		}
-	}
-	if _, err := congest.Run(g, f, congest.Options{}); err != nil {
+	proto := shared(func(n *congest.Node, _ []congest.Message) bool {
+		return n.Round() <= n.ID+1
+	})
+	stats, err := congest.RunSync(g, proto, congest.Options{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Rounds != 7 {
+		t.Fatalf("rounds %d, want 7", stats.Rounds)
 	}
 }
 
@@ -107,22 +104,22 @@ func TestDeterministicDelivery(t *testing.T) {
 	// Same protocol twice: stats must match exactly.
 	e := gen.Grid(5, 5)
 	run := func() congest.Stats {
-		f := func(n *congest.Node) {
+		proto := func(n *congest.Node) congest.RoundFunc {
 			best := uint64(n.ID)
-			for r := 0; r < 10; r++ {
-				n.Broadcast(congest.Words{best})
-				msgs, ok := n.Step()
-				if !ok {
-					return
-				}
+			return func(n *congest.Node, msgs []congest.Message) bool {
 				for _, m := range msgs {
 					if m.Payload[0] < best {
 						best = m.Payload[0]
 					}
 				}
+				if n.Round() > 10 {
+					return false
+				}
+				n.Broadcast(congest.Words{best})
+				return true
 			}
 		}
-		s, err := congest.Run(e.G, f, congest.Options{})
+		s, err := congest.RunSync(e.G, proto, congest.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,28 +136,24 @@ func TestDistributedBFSMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := gen.ErdosRenyiConnected(40, 80, rng)
 		d := graph.Diameter(g)
-		parent, parentEdge, stats, err := congest.DistributedBFS(g, 0, d)
+		parent, parentEdge, stats, err := congest.DistributedBFSSync(g, 0, d, congest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantP, wantPE, err := congest.CanonicalBFSParents(g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := graph.BFS(g, 0)
 		for v := 0; v < g.N(); v++ {
-			if v == 0 {
-				continue
+			if parent[v] != wantP[v] || parentEdge[v] != wantPE[v] {
+				t.Fatalf("vertex %d: parent %d/edge %d, canonical %d/%d", v, parent[v], parentEdge[v], wantP[v], wantPE[v])
 			}
-			if parent[v] == -1 {
-				t.Fatalf("vertex %d unreached", v)
-			}
-			// Depths must match BFS (parents may differ on ties).
-			if ref.Dist[v] != ref.Dist[parent[v]]+1 {
+			if v != 0 && ref.Dist[v] != ref.Dist[parent[v]]+1 {
 				t.Fatalf("vertex %d: parent %d not one level up", v, parent[v])
 			}
-			e := g.Edge(parentEdge[v])
-			if !((e.U == v && e.V == parent[v]) || (e.V == v && e.U == parent[v])) {
-				t.Fatalf("vertex %d: parent edge mismatch", v)
-			}
 		}
-		if stats.Rounds > 4*d+64 {
+		if stats.Rounds > d+2 {
 			t.Fatalf("BFS took %d rounds for diameter %d", stats.Rounds, d)
 		}
 	}
@@ -168,7 +161,7 @@ func TestDistributedBFSMatchesSequential(t *testing.T) {
 
 func TestLeaderElect(t *testing.T) {
 	g := gen.Cycle(12)
-	leader, _, err := congest.LeaderElect(g, 12)
+	leader, _, err := congest.LeaderElectSync(g, 12, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

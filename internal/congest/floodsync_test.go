@@ -1,6 +1,7 @@
 package congest_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/congest"
@@ -21,33 +22,29 @@ func floodSyncFamilies(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// TestLeaderElectSyncMatchesBlocking pins the round-driven election to the
-// blocking protocol's fixed point: same leader, and the round count runs
-// out the same diamBound+2 budget.
+// TestLeaderElectSyncMatchesBlocking pins the election to its sequential
+// fixed point, the minimum vertex ID 0, and to the round count the
+// protocol always had: it runs out the diamBound+2 budget.
 func TestLeaderElectSyncMatchesBlocking(t *testing.T) {
 	for name, g := range floodSyncFamilies(t) {
 		diamBound := 2*graph.DiameterApprox(g) + 2
-		want, _, err := congest.LeaderElect(g, diamBound)
-		if err != nil {
-			t.Fatalf("%s: blocking elect: %v", name, err)
-		}
 		got, stats, err := congest.LeaderElectSync(g, diamBound, congest.Options{})
 		if err != nil {
-			t.Fatalf("%s: sync elect: %v", name, err)
+			t.Fatalf("%s: elect: %v", name, err)
 		}
-		if got != want {
-			t.Errorf("%s: sync elected %d, blocking elected %d", name, got, want)
+		if got != 0 {
+			t.Errorf("%s: elected %d, want the minimum ID 0", name, got)
 		}
 		if stats.Rounds != diamBound+2 {
-			t.Errorf("%s: sync elect ran %d rounds, want diamBound+2 = %d", name, stats.Rounds, diamBound+2)
+			t.Errorf("%s: elect ran %d rounds, want diamBound+2 = %d", name, stats.Rounds, diamBound+2)
 		}
 	}
 }
 
 // TestDistributedBFSSyncCanonical pins the round-driven BFS to the
 // sequential canonical fixed point (lowest-port parents) on every family,
-// and checks the early-exit property: the run ends near ecc(root), not at
-// the diameter bound.
+// and checks the early-exit property: every node announces exactly once
+// and the run ends at ecc(root)+2 rounds, not at the diameter bound.
 func TestDistributedBFSSyncCanonical(t *testing.T) {
 	for name, g := range floodSyncFamilies(t) {
 		diamBound := 2*graph.DiameterApprox(g) + 2
@@ -64,9 +61,35 @@ func TestDistributedBFSSyncCanonical(t *testing.T) {
 				t.Fatalf("%s: node %d: sync parent %d/edge %d, canonical %d/%d", name, v, p[v], pe[v], wantP[v], wantPE[v])
 			}
 		}
-		if stats.Rounds > diamBound+3 {
-			t.Errorf("%s: sync BFS ran %d rounds, bound %d", name, stats.Rounds, diamBound+3)
+		ecc := 0
+		for _, d := range graph.BFS(g, 0).Dist {
+			ecc = max(ecc, d)
 		}
+		if stats.Rounds != ecc+2 {
+			t.Errorf("%s: sync BFS ran %d rounds, want ecc(root)+2 = %d", name, stats.Rounds, ecc+2)
+		}
+		if stats.Messages != 2*g.M() {
+			t.Errorf("%s: sync BFS sent %d messages, want one announcement per arc = %d", name, stats.Messages, 2*g.M())
+		}
+	}
+}
+
+// Regression: under a lossy fault plan the gated BFS used to return a
+// wrong tree with a nil error — it only checked that every node adopted
+// some parent, and a node whose first delivery came the long way round sat
+// deeper than its BFS level. Every run is now checked against the
+// canonical tree, so the loss surfaces as IncompleteError.
+func TestDistributedBFSSyncFaultsSurfaceIncomplete(t *testing.T) {
+	g := gen.GridCSR(9, 9).Graph()
+	diamBound := 2*graph.DiameterApprox(g) + 2
+	opts := congest.Options{Faults: &congest.FaultPlan{Seed: 4, DropProb: 0.3}}
+	parent, _, _, err := congest.DistributedBFSSync(g, 0, diamBound, opts)
+	var ie *congest.IncompleteError
+	if !errors.As(err, &ie) {
+		t.Fatalf("lossy BFS: got err %v (parents %v), want IncompleteError", err, parent)
+	}
+	if parent != nil {
+		t.Fatal("a rejected tree leaked alongside the error")
 	}
 }
 
@@ -79,5 +102,82 @@ func TestFloodSyncBoundTooSmall(t *testing.T) {
 	}
 	if _, _, _, err := congest.DistributedBFSSync(g, 0, 3, congest.Options{}); err == nil {
 		t.Error("BFS with diamBound 3 on a 30-path converged")
+	}
+}
+
+// Regression: the BFS flood with a diameter bound below the true
+// eccentricity used to return a partial tree (unreached nodes with parent
+// -1) and a nil error — silent success on an incomplete flood. It must
+// surface ErrIncomplete instead.
+func TestDistributedBFSUnderestimatedDiamBound(t *testing.T) {
+	g := gen.Path(64) // eccentricity of vertex 0 is 63
+	parent, parentEdge, _, err := congest.DistributedBFSSync(g, 0, 4, congest.Options{})
+	if err == nil {
+		t.Fatalf("want error for diamBound 4 on a 64-path, got parent=%v", parent[:8])
+	}
+	if !errors.Is(err, congest.ErrIncomplete) {
+		t.Fatalf("want ErrIncomplete, got %v", err)
+	}
+	if parent != nil || parentEdge != nil {
+		t.Fatalf("partial results leaked alongside the error")
+	}
+}
+
+// Regression: leader election on an empty network used to panic indexing
+// its vote array; it must return an error.
+func TestLeaderElectEmptyNetwork(t *testing.T) {
+	_, _, err := congest.LeaderElectSync(graph.New(0), 4, congest.Options{})
+	if err == nil {
+		t.Fatal("want error for empty network")
+	}
+}
+
+// A tight-but-sufficient diameter bound still succeeds and matches the
+// sequential BFS depths (guards the fix against over-strictness).
+func TestDistributedBFSExactDiamBound(t *testing.T) {
+	g := gen.Path(32)
+	parent, _, _, err := congest.DistributedBFSSync(g, 0, 31, congest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := graph.BFS(g, 0)
+	for v := 1; v < g.N(); v++ {
+		if ref.Dist[v] != ref.Dist[parent[v]]+1 {
+			t.Fatalf("vertex %d: parent %d not one level up", v, parent[v])
+		}
+	}
+}
+
+// Regression: a non-positive diameter bound used to fall through to the
+// flood loops — the BFS ran a zero-round flood and reported every node
+// missed (a confusing ErrIncomplete, or silent success on a single
+// vertex), and the election's unanimous self-votes masqueraded as an
+// election on a single vertex. Both must reject diamBound <= 0 up front
+// with an explicit validation error, not ErrIncomplete.
+func TestRejectNonPositiveDiamBound(t *testing.T) {
+	g := gen.Path(8)
+	single := gen.Path(1)
+	for _, diamBound := range []int{0, -1, -100} {
+		if _, _, _, err := congest.DistributedBFSSync(g, 0, diamBound, congest.Options{}); err == nil {
+			t.Fatalf("DistributedBFSSync accepted diamBound %d", diamBound)
+		} else if errors.Is(err, congest.ErrIncomplete) {
+			t.Fatalf("DistributedBFSSync diamBound %d: want a validation error, got ErrIncomplete: %v", diamBound, err)
+		}
+		if _, _, _, err := congest.DistributedBFSSync(single, 0, diamBound, congest.Options{}); err == nil {
+			t.Fatalf("DistributedBFSSync on a single vertex accepted diamBound %d", diamBound)
+		}
+		if _, _, err := congest.LeaderElectSync(g, diamBound, congest.Options{}); err == nil {
+			t.Fatalf("LeaderElectSync accepted diamBound %d", diamBound)
+		}
+		if leader, _, err := congest.LeaderElectSync(single, diamBound, congest.Options{}); err == nil {
+			t.Fatalf("LeaderElectSync on a single vertex accepted diamBound %d (leader %d)", diamBound, leader)
+		}
+	}
+	// Positive bounds still work, including the degenerate single vertex.
+	if leader, _, err := congest.LeaderElectSync(single, 1, congest.Options{}); err != nil || leader != 0 {
+		t.Fatalf("LeaderElectSync(single, 1) = %d, %v", leader, err)
+	}
+	if _, _, _, err := congest.DistributedBFSSync(single, 0, 1, congest.Options{}); err != nil {
+		t.Fatalf("DistributedBFSSync(single, 1): %v", err)
 	}
 }

@@ -97,208 +97,75 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrAborted) || errors.Is(err, ErrIncomplete)
 }
 
-// exhausted is the typed error a retry loop returns when every attempt
-// failed.
-func exhausted(protocol string, attempts, lastBudget int, last error) error {
-	return &IncompleteError{Protocol: protocol, Budget: lastBudget,
-		Detail: fmt.Sprintf("%d faulted attempts exhausted, last: %v", attempts, last)}
+// retry runs attempt under a round budget that starts at budget and
+// doubles after every retryable failure, booking each one in Retries, up to
+// the attempt cap; a permanent error ends the loop at once.
+func (a *Adversary) retry(protocol string, budget int, attempt func(budget int) error) error {
+	var last error
+	for i := 0; i < a.attempts(); i++ {
+		err := attempt(budget)
+		if err == nil || !Retryable(err) {
+			return err
+		}
+		last = err
+		a.Retries++
+		budget *= 2
+	}
+	return &IncompleteError{Protocol: protocol, Budget: budget / 2,
+		Detail: fmt.Sprintf("%d faulted attempts exhausted, last: %v", a.attempts(), last)}
 }
 
-// CanonicalBFSParents computes, sequentially, the parent/parent-edge arrays
-// of the canonical elected BFS tree from root: every vertex adopts its
-// first adjacency-order (lowest-port) neighbor one BFS level closer. This
-// is the fixed point both DistributedBFS (first announcement, lowest port
-// on ties) and the resilient re-broadcasting BFS converge to, and the tree
-// pipeline.SelfSetup builds analytically — exported so all three share one
-// definition.
-func CanonicalBFSParents(g *graph.Graph, root int) (parent, parentEdge []int, err error) {
-	r := graph.BFS(g, root)
-	if len(r.Order) != g.N() {
-		return nil, nil, graph.ErrDisconnected
-	}
-	parent = make([]int, g.N())
-	parentEdge = make([]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		parent[v], parentEdge[v] = -1, -1
-		if v == root {
-			continue
-		}
-		for _, a := range g.Adj(v) {
-			if r.Dist[a.To] == r.Dist[v]-1 {
-				parent[v], parentEdge[v] = a.To, a.ID
-				break
-			}
-		}
-	}
-	return parent, parentEdge, nil
-}
-
-// LeaderElect elects the minimum vertex ID under the adversary: a
-// round-driven flood where every node re-broadcasts its best-known ID
-// every round (re-broadcasting makes lost messages harmless — the
-// information is offered again next round), for a budget of rounds that
-// starts at diamBound+1 and doubles per attempt. The converged votes are
-// checked for unanimity on the true minimum (vertex 0 — IDs are dense);
-// disagreement retries. A nil adversary delegates to the fault-free
-// LeaderElect.
+// LeaderElect elects the minimum vertex ID under the adversary with the
+// re-broadcasting election flood, for a budget of rounds that starts at
+// diamBound+1 and doubles per attempt; an attempt whose votes are not
+// unanimous on the minimum retries. A nil adversary is LeaderElectSync.
 func (a *Adversary) LeaderElect(g *graph.Graph, diamBound int) (leader int, stats Stats, err error) {
 	if a == nil {
-		return LeaderElect(g, diamBound)
+		return LeaderElectSync(g, diamBound, Options{})
 	}
-	n := g.N()
-	if n == 0 {
-		return -1, stats, fmt.Errorf("congest: leader election over an empty network")
+	if err := electArgs(g, diamBound); err != nil {
+		return -1, stats, err
 	}
-	if diamBound <= 0 {
-		return -1, stats, fmt.Errorf("congest: leader election diameter bound %d must be positive", diamBound)
-	}
-	budget := diamBound + 1
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
-		best := make([]uint64, n)
-		for v := range best {
-			best[v] = uint64(v)
-		}
-		b := budget
-		step := func(nd *Node, msgs []Message) bool {
-			v := nd.ID
-			for _, m := range msgs {
-				if m.Payload[0] < best[v] {
-					best[v] = m.Payload[0]
-				}
-			}
-			if nd.round > b {
-				return false
-			}
-			nd.Broadcast(Words{best[v]})
-			return true
-		}
+	err = a.retry("LeaderElect", diamBound+1, func(budget int) error {
 		// Crashes stall a node's local round counter, so grant the engine
 		// headroom beyond the per-node budget.
-		rstats, rerr := RunSync(g, func(*Node) RoundFunc { return step }, a.options(2*budget+64))
-		stats.Add(rstats)
-		if rerr == nil {
-			agreed := true
-			for v := 0; v < n; v++ {
-				if best[v] != 0 {
-					agreed = false
-					break
-				}
-			}
-			if agreed {
-				return 0, stats, nil
-			}
-			rerr = &IncompleteError{Protocol: "LeaderElect", Rounds: rstats.Rounds, Budget: budget,
-				Detail: "votes not unanimous on the minimum ID"}
-		}
-		if !Retryable(rerr) {
-			return -1, stats, rerr
-		}
-		last = rerr
-		a.Retries++
-		budget *= 2
+		s, err := electFlood(g, budget, true, a.options(2*budget+64))
+		stats.Add(s)
+		return err
+	})
+	if err != nil {
+		return -1, stats, err
 	}
-	return -1, stats, exhausted("LeaderElect", a.attempts(), budget/2, last)
+	return 0, stats, nil
 }
 
-// BFS builds the canonical elected BFS tree from root under the adversary:
-// a Bellman-Ford-style flood where every reached node re-broadcasts its
-// current distance every round and tracks the best distance heard per
-// port. Re-broadcasting makes the protocol self-stabilizing under message
-// loss: any clean window of diameter-many rounds after the adversary's
-// horizon refreshes every per-port estimate and the distances settle to
-// true BFS levels. Each node then adopts the lowest port whose neighbor
-// sits one level closer — and the converged arrays are checked against
-// CanonicalBFSParents exactly, so a successful run returns the identical
-// tree the fault-free pipeline elects. A nil adversary delegates to
-// DistributedBFS.
+// BFS builds the canonical elected BFS tree from root under the adversary
+// with the re-broadcasting distance flood, for a budget of rounds that
+// starts at diamBound+2 and doubles per attempt. Re-broadcasting makes the
+// flood self-stabilizing under message loss: any clean window of
+// diameter-many rounds after the adversary's horizon re-offers every
+// distance and the nodes settle on true BFS levels and lowest-port parents.
+// An attempt whose tree differs from CanonicalBFSParents retries, so a
+// successful run returns the identical tree the fault-free pipeline elects.
+// A nil adversary is DistributedBFSSync.
 func (a *Adversary) BFS(g *graph.Graph, root, diamBound int) (parent, parentEdge []int, stats Stats, err error) {
 	if a == nil {
-		return DistributedBFS(g, root, diamBound)
+		return DistributedBFSSync(g, root, diamBound, Options{})
 	}
-	n := g.N()
-	if root < 0 || root >= n {
-		return nil, nil, stats, fmt.Errorf("congest: BFS root %d out of range for %d nodes", root, n)
-	}
-	if diamBound <= 0 {
-		return nil, nil, stats, fmt.Errorf("congest: BFS diameter bound %d must be positive", diamBound)
-	}
-	wantParent, wantEdge, err := CanonicalBFSParents(g, root)
+	wantParent, wantEdge, err := bfsArgs(g, root, diamBound)
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("congest: resilient BFS: %w", err)
+		return nil, nil, stats, err
 	}
-	const inf = uint64(1) << 62
-	portOff := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		portOff[v+1] = portOff[v] + int32(g.Degree(v))
+	err = a.retry("BFS", diamBound+2, func(budget int) error {
+		var s Stats
+		parent, parentEdge, s, err = bfsFlood(g, root, budget, true, wantParent, wantEdge, a.options(2*budget+64))
+		stats.Add(s)
+		return err
+	})
+	if err != nil {
+		return nil, nil, stats, err
 	}
-	budget := diamBound + 2
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
-		dist := make([]uint64, n)
-		nbrDist := make([]uint64, portOff[n])
-		for v := range dist {
-			dist[v] = inf
-		}
-		for i := range nbrDist {
-			nbrDist[i] = inf
-		}
-		dist[root] = 0
-		b := budget
-		step := func(nd *Node, msgs []Message) bool {
-			v := nd.ID
-			for _, m := range msgs {
-				d := m.Payload[0]
-				if d < nbrDist[portOff[v]+int32(m.Port)] {
-					nbrDist[portOff[v]+int32(m.Port)] = d
-					if d+1 < dist[v] {
-						dist[v] = d + 1
-					}
-				}
-			}
-			if nd.round > b {
-				return false
-			}
-			if dist[v] < inf {
-				nd.Broadcast(Words{dist[v]})
-			}
-			return true
-		}
-		rstats, rerr := RunSync(g, func(*Node) RoundFunc { return step }, a.options(2*budget+64))
-		stats.Add(rstats)
-		if rerr == nil {
-			parent = make([]int, n)
-			parentEdge = make([]int, n)
-			ok := true
-			for v := 0; v < n && ok; v++ {
-				parent[v], parentEdge[v] = -1, -1
-				if v == root {
-					continue
-				}
-				for port, arc := range g.Adj(v) {
-					if dist[v] < inf && nbrDist[portOff[v]+int32(port)] == dist[v]-1 {
-						parent[v], parentEdge[v] = arc.To, arc.ID
-						break
-					}
-				}
-				if parent[v] != wantParent[v] || parentEdge[v] != wantEdge[v] {
-					ok = false
-				}
-			}
-			if ok {
-				return parent, parentEdge, stats, nil
-			}
-			rerr = &IncompleteError{Protocol: "BFS", Rounds: rstats.Rounds, Budget: budget,
-				Detail: "converged tree differs from the canonical elected tree"}
-		}
-		if !Retryable(rerr) {
-			return nil, nil, stats, rerr
-		}
-		last = rerr
-		a.Retries++
-		budget *= 2
-	}
-	return nil, nil, stats, exhausted("BFS", a.attempts(), budget/2, last)
+	return parent, parentEdge, stats, nil
 }
 
 // Pipecast is the pipelined convergecast under the adversary: whole-run
@@ -306,48 +173,34 @@ func (a *Adversary) BFS(g *graph.Graph, root, diamBound int) (parent, parentEdge
 // any loss voids the attempt; the run's own fixed-point validation plus the
 // engine's schedule checks detect every such loss). A nil adversary
 // delegates to the plain Pipecast.
-func (a *Adversary) Pipecast(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner) (*PipecastResult, error) {
+func (a *Adversary) Pipecast(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner) (res *PipecastResult, err error) {
 	if a == nil {
 		return Pipecast(t, numTags, contrib, comb)
 	}
-	budget := t.Height() + numTags + 64
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
-		res, err := pipecastOpts(t, numTags, contrib, comb, a.options(budget))
-		if err == nil {
-			return res, nil
-		}
-		if !Retryable(err) {
-			return nil, err
-		}
-		last = err
-		a.Retries++
-		budget *= 2
+	err = a.retry("Pipecast", t.Height()+numTags+64, func(budget int) error {
+		res, err = pipecastOpts(t, numTags, contrib, comb, a.options(budget))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, exhausted("Pipecast", a.attempts(), budget/2, last)
+	return res, nil
 }
 
 // PipeBroadcast is the pipelined broadcast under the adversary (see
 // Pipecast).
-func (a *Adversary) PipeBroadcast(t *graph.Tree, tokens []Token) (*BroadcastResult, error) {
+func (a *Adversary) PipeBroadcast(t *graph.Tree, tokens []Token) (res *BroadcastResult, err error) {
 	if a == nil {
 		return PipeBroadcast(t, tokens)
 	}
-	budget := t.Height() + len(tokens) + 64
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
-		res, err := pipeBroadcastOpts(t, tokens, a.options(budget))
-		if err == nil {
-			return res, nil
-		}
-		if !Retryable(err) {
-			return nil, err
-		}
-		last = err
-		a.Retries++
-		budget *= 2
+	err = a.retry("PipeBroadcast", t.Height()+len(tokens)+64, func(budget int) error {
+		res, err = pipeBroadcastOpts(t, tokens, a.options(budget))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, exhausted("PipeBroadcast", a.attempts(), budget/2, last)
+	return res, nil
 }
 
 // treeCombineUnder is treeCombine routed through the adversary's Pipecast

@@ -49,17 +49,13 @@ func TestLastActiveRoundSemantics(t *testing.T) {
 	// A protocol that sends only in round 1 and then idles for 5 rounds:
 	// LastActiveRound must be small even though Rounds is larger.
 	g := gen.Path(3)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
+	proto := shared(func(n *congest.Node, _ []congest.Message) bool {
+		if n.ID == 0 && n.Round() == 1 {
 			n.Broadcast(congest.Words{1})
 		}
-		for r := 0; r < 6; r++ {
-			if _, ok := n.Step(); !ok {
-				return
-			}
-		}
-	}
-	stats, err := congest.Run(g, f, congest.Options{})
+		return n.Round() <= 6
+	})
+	stats, err := congest.RunSync(g, proto, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,25 +69,31 @@ func TestLastActiveRoundSemantics(t *testing.T) {
 
 func TestNodeAccessors(t *testing.T) {
 	g := gen.Star(4)
-	f := func(n *congest.Node) {
+	bad := make([]string, g.N()) // per node: the first accessor that misbehaved
+	proto := shared(func(n *congest.Node, _ []congest.Message) bool {
+		if n.NumV != 4 {
+			bad[n.ID] = "NumV"
+		}
 		if n.ID == 0 {
 			if n.Degree() != 3 {
-				panic("center degree")
+				bad[n.ID] = "center degree"
 			}
 			for port := 0; port < n.Degree(); port++ {
 				nb := n.Neighbor(port)
 				e := g.Edge(n.PortEdge(port))
 				if !((e.U == 0 && e.V == nb) || (e.V == 0 && e.U == nb)) {
-					panic("port mapping")
+					bad[n.ID] = "port mapping"
 				}
 			}
 		}
-		if n.NumV != 4 {
-			panic("NumV")
-		}
-		n.Step()
-	}
-	if _, err := congest.Run(g, f, congest.Options{}); err != nil {
+		return false
+	})
+	if _, err := congest.RunSync(g, proto, congest.Options{}); err != nil {
 		t.Fatal(err)
+	}
+	for v, what := range bad {
+		if what != "" {
+			t.Errorf("node %d: %s wrong", v, what)
+		}
 	}
 }

@@ -52,7 +52,6 @@ type Provider = pipeline.Provider
 var (
 	ObliviousProvider = pipeline.Oblivious
 	EmptyProvider     = pipeline.Empty
-	SimulatedProvider = pipeline.SimulatedOblivious
 	FloodProvider     = pipeline.Flood
 	AutoFloodProvider = pipeline.AutoFlood
 )
