@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json perfbench-check bench bench-smoke bench-baseline scale-smoke sssp-bench construct-bench pipeline-bench pipecast-bench churn-bench query-bench
+.PHONY: all build test race vet lint lint-json perfbench-check bench bench-smoke bench-baseline scale-smoke
 
 all: vet lint build test
 
@@ -38,8 +38,14 @@ perfbench-check:
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
 
+# bench-smoke regenerates seven registry tables once each. A sub-benchmark
+# regex that matches nothing still exits 0, so the target also fails
+# unless exactly seven BenchmarkTables/ results print.
 bench-smoke:
-	$(GO) test -bench='E5|E9|E13|E14|E15|E18|E19' -benchtime=1x -run=NONE .
+	@out=$$($(GO) test -run '^$$' -bench 'Tables/^(E5|E9|E13|E14|E15|E18|E19)$$' -benchtime=1x .) || \
+		{ echo "$$out"; exit 1; }; echo "$$out"; \
+	n=$$(echo "$$out" | grep -c '^BenchmarkTables/'); \
+	if [ "$$n" -ne 7 ]; then echo "bench-smoke: $$n BenchmarkTables/ results, want 7"; exit 1; fi
 
 # scale-smoke runs the full zero-witness pipeline at 10⁵ nodes (grid +
 # wheel, hybrid mode) with a bounded wall-clock — the CI guard that the
@@ -47,31 +53,6 @@ bench-smoke:
 # BenchmarkScaleMillionPipeline (make bench-baseline).
 scale-smoke:
 	$(GO) test -run 'TestScaleSmoke100k' -count=1 -v ./internal/experiments
-
-# sssp-bench regenerates the E9 (1+eps)-approximate shortest-path table.
-sssp-bench:
-	$(GO) run ./cmd/ssspbench
-
-# construct-bench regenerates the E13 distributed shortcut construction table.
-construct-bench:
-	$(GO) run ./cmd/constructbench
-
-# pipeline-bench regenerates the E14 zero-witness pipeline table.
-pipeline-bench:
-	$(GO) run ./cmd/pipelinebench
-
-# pipecast-bench regenerates the E15 pipelined multi-token convergecast table.
-pipecast-bench:
-	$(GO) run ./cmd/pipecastbench
-
-# churn-bench regenerates the E18 self-healing shortcuts-under-churn table.
-churn-bench:
-	$(GO) run ./cmd/churnbench
-
-# query-bench regenerates the E19 batched k-source SSSP + distance-oracle
-# serving table.
-query-bench:
-	$(GO) run ./cmd/querybench
 
 # bench-baseline records the full benchmark suite as JSON for perf
 # trajectory tracking across PRs (compare with benchstat or jq).

@@ -1,6 +1,13 @@
-// allbench regenerates every experiment table (E1-E15) in one run — the
-// CLI twin of `go test -bench=. -benchtime=1x .` — or, with -table, a
-// single table by ID.
+// allbench regenerates the experiment tables (E1-E19) from the
+// experiments.Runners() registry — the CLI twin of
+// `go test -bench=Tables -benchtime=1x .`.
+//
+// Usage:
+//
+//	allbench [-seed N] [-table E6,E6b,...] [-big]
+//
+// With no -table every table runs; -big selects each table's larger sweep
+// where the registry has one.
 package main
 
 import (
@@ -14,19 +21,18 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 2018, "deterministic seed")
-	table := flag.String("table", "", "regenerate one experiment table by ID (e.g. E9, E6c, E15); empty runs all")
+	table := flag.String("table", "", "comma-separated experiment table IDs (e.g. E9 or E6,E6b,E6c,E8b); empty runs all")
+	big := flag.Bool("big", false, "larger sweeps (slower)")
 	flag.Parse()
+	runners := experiments.Runners()
 	if *table != "" {
-		t, ok := experiments.ByID(*table, *seed)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "allbench: unknown table %q; valid IDs: %s\n",
-				*table, strings.Join(experiments.IDs(), ", "))
+		var err error
+		if runners, err = experiments.Select(strings.Split(*table, ",")...); err != nil {
+			fmt.Fprintf(os.Stderr, "allbench: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Println(t)
-		return
 	}
-	for _, t := range experiments.All(*seed) {
+	for _, t := range experiments.Tables(runners, *seed, *big) {
 		fmt.Println(t)
 	}
 }

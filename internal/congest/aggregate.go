@@ -37,10 +37,10 @@ func AggregateMin(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, keys
 }
 
 // AggregateMinUnder is AggregateMin under an adversary: each attempt of the
-// existing doubling loop runs with the adversary's fault plan (advanced
-// along its timeline per attempt), aborted runs count as non-converged
-// attempts instead of hard failures, and the attempt cap comes from the
-// adversary's retry policy. The flooding protocol re-offers its best-known
+// doubling loop (Adversary.retry) runs with the adversary's fault plan
+// (advanced along its timeline per attempt), aborted runs count as
+// non-converged attempts, and the attempt cap comes from the adversary's
+// retry policy. The flooding protocol re-offers its best-known
 // key whenever it changes, but a dropped update can still leave a member
 // stale at the budget boundary — which the sequential convergence check
 // catches, exactly as it catches an undersized budget. A nil adversary is
@@ -64,37 +64,24 @@ func AggregateMinUnder(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut,
 		}
 	}
 	m := s.Measure()
-	budget := m.Quality + 2*m.TreeDiameter + 8
-	attempts := 8
-	if adv != nil {
-		attempts = adv.attempts()
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		ropts := Options{MaxRounds: budget + 64}
-		if adv != nil {
-			// Crashes stall nodes' local round counters, so grant headroom.
-			ropts = adv.options(2*budget + 64)
-		}
-		res, converged, err := runAggregate(g, p, partsOnEdge, keys, want, budget, ropts)
+	var res *AggregateResult
+	err := adv.retry("AggregateMin", m.Quality+2*m.TreeDiameter+8, func(budget int) error {
+		r, converged, err := runAggregate(g, p, partsOnEdge, keys, want, budget, adv.runOptions(budget))
 		if err != nil {
-			if adv != nil && Retryable(err) {
-				adv.Retries++
-				budget *= 2
-				continue
-			}
-			return nil, err
+			return err
 		}
-		if converged {
-			res.Budget = budget
-			return res, nil
+		if !converged {
+			return &IncompleteError{Protocol: "AggregateMin", Budget: budget,
+				Detail: "flood left a member short of its part's minimum"}
 		}
-		if adv != nil {
-			adv.Retries++
-		}
-		budget *= 2
+		r.Budget = budget
+		res = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, &IncompleteError{Protocol: "AggregateMin", Budget: budget,
-		Detail: "flood failed to converge within the doubling budget"}
+	return res, nil
 }
 
 // localPartIdx finds the slab index of part within parts[off:end), the

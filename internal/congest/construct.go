@@ -102,44 +102,28 @@ func ConstructShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts C
 		return res, nil
 	}
 	want := shortcut.FloodFixedPoint(g, t, p, cap, prio)
-	budget := ConstructBudget(t, cap)
-	attempts := 8
-	if adv != nil {
-		attempts = adv.attempts()
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		ropts := Options{MaxRounds: budget + 64}
-		if adv != nil {
-			// Crashes stall nodes' local round counters, so grant headroom.
-			ropts = adv.options(2*budget + 64)
-		}
-		final, stats, err := runConstruct(g, t, p, cap, budget, prio, ropts)
+	err := adv.retry("ConstructShortcut", ConstructBudget(t, cap), func(budget int) error {
+		final, stats, err := runConstruct(g, t, p, cap, budget, prio, adv.runOptions(budget))
 		if err != nil {
-			if adv != nil && Retryable(err) {
-				adv.Retries++
-				budget *= 2
-				continue
-			}
-			return nil, err
+			return err
 		}
-		if floodStatesEqual(final, want) {
-			s, err := shortcut.FromFloodState(g, t, p, final, prio)
-			if err != nil {
-				return nil, fmt.Errorf("congest: assembling constructed shortcut: %w", err)
-			}
-			res.S = s
-			res.Stats = stats
-			res.EffectiveRounds = stats.LastActiveRound
-			res.Budget = budget
-			return res, nil
+		if !floodStatesEqual(final, want) {
+			return &IncompleteError{Protocol: "ConstructShortcut", Budget: budget,
+				Detail: "flood-and-evict state differs from the fixed point"}
 		}
-		if adv != nil {
-			adv.Retries++
+		res.Stats = stats
+		res.EffectiveRounds = stats.LastActiveRound
+		res.Budget = budget
+		res.S, err = shortcut.FromFloodState(g, t, p, final, prio)
+		if err != nil {
+			return fmt.Errorf("congest: assembling constructed shortcut: %w", err)
 		}
-		budget *= 2
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, &IncompleteError{Protocol: "ConstructShortcut", Budget: budget,
-		Detail: "flood-and-evict failed to converge to the fixed point within the doubling budget"}
+	return res, nil
 }
 
 func floodStatesEqual(a, b [][]int32) bool {

@@ -43,7 +43,7 @@ import (
 
 // Adversary couples a fault plan with the retry policy and tracks how much
 // of the plan's timeline has been consumed across attempts. The zero
-// Attempts selects 8, matching the pre-existing doubling loops. A nil
+// Attempts selects 8, the fault-free doubling cap. A nil
 // *Adversary is valid everywhere and means "no faults": the adversary-aware
 // entry points degrade to the plain fault-free protocols.
 type Adversary struct {
@@ -98,8 +98,10 @@ func Retryable(err error) bool {
 }
 
 // retry runs attempt under a round budget that starts at budget and
-// doubles after every retryable failure, booking each one in Retries, up to
-// the attempt cap; a permanent error ends the loop at once.
+// doubles after every retryable failure, booking each one in Retries (a nil
+// adversary books nothing), up to the attempt cap; a permanent error ends
+// the loop at once. On exhaustion the returned error carries the last
+// budget tried.
 func (a *Adversary) retry(protocol string, budget int, attempt func(budget int) error) error {
 	var last error
 	for i := 0; i < a.attempts(); i++ {
@@ -108,11 +110,25 @@ func (a *Adversary) retry(protocol string, budget int, attempt func(budget int) 
 			return err
 		}
 		last = err
-		a.Retries++
+		if a != nil {
+			a.Retries++
+		}
 		budget *= 2
 	}
 	return &IncompleteError{Protocol: protocol, Budget: budget / 2,
-		Detail: fmt.Sprintf("%d faulted attempts exhausted, last: %v", a.attempts(), last)}
+		Detail: fmt.Sprintf("%d attempts exhausted, last: %v", a.attempts(), last)}
+}
+
+// runOptions builds one attempt's engine options for the fixed-budget
+// flooding protocols (AggregateMin, ConstructShortcut): nodes stop at their
+// local round budget, so the engine bound is headroom only. Under an
+// adversary the headroom doubles, since crashes stall nodes' local round
+// counters.
+func (a *Adversary) runOptions(budget int) Options {
+	if a == nil {
+		return Options{MaxRounds: budget + 64}
+	}
+	return a.options(2*budget + 64)
 }
 
 // LeaderElect elects the minimum vertex ID under the adversary with the

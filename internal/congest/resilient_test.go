@@ -9,6 +9,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 // testPlan is a connected-preserving fault plan: finite drop horizon,
@@ -132,5 +133,35 @@ func TestProtocolsReturnIncompleteError(t *testing.T) {
 		t.Fatalf("BFS with tiny diameter bound: got %v, want IncompleteError", err)
 	} else if ie.Protocol != "BFS" {
 		t.Fatalf("protocol %q, want BFS", ie.Protocol)
+	}
+}
+
+// TestRetryExhaustionReportsLastBudget pins the shared doubling loop's
+// exhaustion contract for the fixed-budget floods: under total loss every
+// attempt fails, each failure books one retry, and the returned
+// IncompleteError carries the last budget actually tried — the first
+// budget doubled once per retry after the first attempt.
+func TestRetryExhaustionReportsLastBudget(t *testing.T) {
+	grid := gen.Grid(6, 6).G
+	tr, err := graph.BFSTree(grid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := partition.GridRows(grid, 6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const attempts = 3
+	adv := &congest.Adversary{Plan: congest.FaultPlan{Seed: 1, DropProb: 1}, Attempts: attempts}
+	_, err = congest.ConstructShortcut(grid, tr, p, congest.ConstructOptions{Cap: 2, Simulate: true, Adversary: adv})
+	var ie *congest.IncompleteError
+	if !errors.As(err, &ie) || ie.Protocol != "ConstructShortcut" {
+		t.Fatalf("total loss: got %v, want a ConstructShortcut IncompleteError", err)
+	}
+	if want := congest.ConstructBudget(tr, 2) << (attempts - 1); ie.Budget != want {
+		t.Fatalf("exhausted budget %d, want the last one tried, %d", ie.Budget, want)
+	}
+	if adv.Retries != attempts {
+		t.Fatalf("%d retries booked over %d failed attempts", adv.Retries, attempts)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -66,26 +67,44 @@ func TestE15PipecastAcceptance(t *testing.T) {
 	}
 }
 
-// TestRunnersRegistry: every table regenerated through the registry keeps
-// its declared ID, ByID finds each one, and unknown IDs are rejected —
-// the contract behind cmd/allbench's -table flag.
+// TestRunnersRegistry: the registry behind cmd/allbench's -table flag and
+// BenchmarkTables. IDs are unique and each entry names a headline metric;
+// Select finds entries in the order asked and rejects unknown IDs; and
+// every table regenerated through the registry keeps its declared ID and
+// ends in a numeric headline cell, so the benchmark always has a figure to
+// report.
 func TestRunnersRegistry(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(Runners()) {
+	runners := Runners()
+	seen := map[string]bool{}
+	for _, r := range runners {
+		if seen[r.ID] {
+			t.Fatalf("duplicate registry ID %s", r.ID)
+		}
+		seen[r.ID] = true
+		if r.Metric == "" || r.Unit == "" {
+			t.Fatalf("%s: missing headline metric or unit (%q, %q)", r.ID, r.Metric, r.Unit)
+		}
+	}
+	if ids := IDs(); len(ids) != len(runners) {
 		t.Fatalf("IDs/Runners length mismatch")
 	}
-	want := map[string]bool{"E5": true, "E9": true, "E13": true, "E14": true, "E15": true}
-	for _, id := range ids {
-		delete(want, id)
+	rs, err := Select("E15", "E6c")
+	if err != nil || len(rs) != 2 || rs[0].ID != "E15" || rs[1].ID != "E6c" {
+		t.Fatalf("Select(E15, E6c) = %v, %v", rs, err)
 	}
-	if len(want) != 0 {
-		t.Fatalf("registry missing IDs: %v", want)
+	if _, err := Select("E5", "E99"); err == nil || !strings.Contains(err.Error(), "E99") {
+		t.Fatalf("Select accepted an unknown table ID: %v", err)
 	}
-	tab, ok := ByID("E15", 2018)
-	if !ok || tab.ID != "E15" {
-		t.Fatalf("ByID(E15) = %v, %v", tab, ok)
+	if testing.Short() {
+		t.Skip("registry table sweep skipped in -short mode")
 	}
-	if _, ok := ByID("E99", 2018); ok {
-		t.Fatal("ByID accepted an unknown table ID")
+	for i, tab := range All(2018) {
+		r := runners[i]
+		if tab.ID != r.ID {
+			t.Fatalf("runner %s produced table %s", r.ID, tab.ID)
+		}
+		if _, err := tab.Headline(r.Metric); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -1,13 +1,14 @@
 // Package experiments implements the reproduction's evaluation harness: one
-// runner per experiment in DESIGN.md §2 (E1-E12), each regenerating the
-// table that stands in for the corresponding theorem/figure of the paper.
-// The binaries in cmd/ and the root-level benchmarks both drive these
-// runners, so `go test -bench` output and the CLI tables match.
+// runner per experiment (E1-E19), each regenerating the table that stands
+// in for the corresponding theorem/figure of the paper. cmd/allbench and
+// the root-level BenchmarkTables both drive these runners through the
+// Runners() registry, so `go test -bench` output and the CLI tables match.
 package experiments
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 )
@@ -51,14 +52,29 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Cell looks up a numeric cell by row index and column name (-1 if absent).
+// Cell looks up a cell by row index and column name ("" if absent).
 func (t *Table) Cell(row int, col string) string {
 	for ci, h := range t.Header {
-		if h == col && row < len(t.Rows) {
+		if h == col && row >= 0 && row < len(t.Rows) {
 			return t.Rows[row][ci]
 		}
 	}
 	return ""
+}
+
+// Headline parses the last row's cell in column col as a number — the
+// figure a benchmark reports for the table. An empty table, a missing
+// column or a non-numeric cell is an error.
+func (t *Table) Headline(col string) (float64, error) {
+	if len(t.Rows) == 0 {
+		return 0, fmt.Errorf("%s: no rows", t.ID)
+	}
+	s := t.Cell(len(t.Rows)-1, col)
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: last-row %s cell %q is not numeric", t.ID, col, s)
+	}
+	return v, nil
 }
 
 // logLogSlope estimates the slope of log(y) vs log(x) by least squares —
