@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json perfbench-check bench bench-smoke bench-baseline scale-smoke
+.PHONY: all build test race vet lint lint-json perfbench-check determinism bench bench-smoke bench-baseline scale-smoke
 
 all: vet lint build test
 
@@ -34,6 +34,18 @@ lint-json:
 # catches a rename of any API it imports before the benchmark run does.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+# determinism builds allbench once and fails unless every registry table
+# prints byte-identically at the default GOMAXPROCS and at GOMAXPROCS=1 —
+# the engine's headline guarantee (a diff is a map-iteration order or
+# scheduler race, never noise).
+determinism:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/allbench" ./cmd/allbench && \
+	"$$dir/allbench" > "$$dir/default.txt" && \
+	GOMAXPROCS=1 "$$dir/allbench" > "$$dir/one.txt" && \
+	diff "$$dir/default.txt" "$$dir/one.txt" && \
+	echo "determinism: allbench identical at GOMAXPROCS=default and 1"
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .

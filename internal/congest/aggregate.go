@@ -49,24 +49,12 @@ func AggregateMinUnder(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut,
 	if len(keys) != g.N() {
 		return nil, fmt.Errorf("congest: %d keys for %d vertices", len(keys), g.N())
 	}
-	// Channels: per edge, the parts communicating over it (see
-	// buildEdgeChannels, shared with the relaxation primitive).
-	partsOnEdge := buildEdgeChannels(g, p, s)
-	// Expected answers for convergence checking (the environment's
-	// ground-truth; a real deployment would rely on the proven bound).
-	want := make([]uint64, p.NumParts())
-	for i := range want {
-		want[i] = math.MaxUint64
-		for _, v := range p.Sets[i] {
-			if keys[v] < want[i] {
-				want[i] = keys[v]
-			}
-		}
-	}
+	ch := newChannels(g, p, s)
+	want := PartMins(p, keys)
 	m := s.Measure()
 	var res *AggregateResult
 	err := adv.retry("AggregateMin", m.Quality+2*m.TreeDiameter+8, func(budget int) error {
-		r, converged, err := runAggregate(g, p, partsOnEdge, keys, want, budget, adv.runOptions(budget))
+		r, converged, err := runAggregate(g, p, ch, keys, want, budget, adv.runOptions(budget))
 		if err != nil {
 			return err
 		}
@@ -84,6 +72,23 @@ func AggregateMinUnder(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut,
 	return res, nil
 }
 
+// PartMins is AggregateMin's fixed point computed sequentially: per part,
+// the minimum key over its members (math.MaxUint64 for a part with no
+// finite key). It is the oracle every AggregateMin run is checked against,
+// and the answer analytic-mode callers use in place of a simulated run.
+func PartMins(p *partition.Parts, keys []uint64) []uint64 {
+	mins := make([]uint64, p.NumParts())
+	for i, set := range p.Sets {
+		mins[i] = math.MaxUint64
+		for _, v := range set {
+			if keys[v] < mins[i] {
+				mins[i] = keys[v]
+			}
+		}
+	}
+	return mins
+}
+
 // localPartIdx finds the slab index of part within parts[off:end), the
 // per-node window of the shared part slab. It is a top-level function (not
 // a closure in the round kernel) so the hot path allocates nothing.
@@ -98,46 +103,48 @@ func localPartIdx(parts []int32, off, end, part int32) int32 {
 	return -1
 }
 
-func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []int32, keys, want []uint64, budget int, ropts Options) (*AggregateResult, bool, error) {
+// markPart sets dirty on the channels lo … hi-1 whose part is pi.
+//
+//congest:hotpath
+//congest:pure
+func markPart(dirty []bool, part []int32, lo, hi, pi int32) {
+	for ci := lo; ci < hi; ci++ {
+		if part[ci] == pi {
+			dirty[ci] = true
+		}
+	}
+}
+
+func runAggregate(g *graph.Graph, p *partition.Parts, ch *channels, keys, want []uint64, budget int, ropts Options) (*AggregateResult, bool, error) {
 	n := g.N()
 	// finalBest[v] = best-known key of v's own part when the budget ran out.
 	finalBest := make([]uint64, n)
 	for v := range finalBest {
 		finalBest[v] = math.MaxUint64
 	}
-	// Per-node protocol state lives in shared slab arrays (CSR per node),
-	// and every node shares one RoundFunc that indexes the slabs by node
-	// ID, so a whole run performs a constant number of allocations.
-	type channel struct{ port, part int32 }
+	// Per-node protocol state lives in shared slab arrays over the channel
+	// view (one dirty flag per channel; per node, the distinct parts it
+	// relays with their best-known keys), and every node shares one
+	// RoundFunc that indexes the slabs by node ID, so a whole run performs
+	// a constant number of allocations.
 	type nodeState struct {
-		chOff, chEnd int32 // into channels/dirty
 		ptOff, ptEnd int32 // into parts/best
 		own          int32 // index into parts/best, or -1
 		round        int32
 	}
-	totCh := 0
-	for id := 0; id < g.M(); id++ {
-		totCh += 2 * len(partsOnEdge(id))
-	}
-	channels := make([]channel, 0, totCh)
-	dirty := make([]bool, totCh)
-	parts := make([]int32, 0, totCh+n)
-	best := make([]uint64, 0, totCh+n)
-	sentRound := make([]int32, 0, totCh)
+	dirty := make([]bool, len(ch.part))
+	parts := make([]int32, 0, len(ch.part)+n)
+	best := make([]uint64, 0, len(ch.part)+n)
 	state := make([]nodeState, n)
 	for v := 0; v < n; v++ {
 		st := &state[v]
-		st.chOff = int32(len(channels))
 		st.ptOff = int32(len(parts))
 		st.own = -1
-		for port, a := range g.Adj(v) {
-			sentRound = append(sentRound, -1)
-			for _, pi := range partsOnEdge(a.ID) {
-				channels = append(channels, channel{int32(port), pi})
-				if localPartIdx(parts, st.ptOff, int32(len(parts)), pi) == -1 {
-					parts = append(parts, pi)
-					best = append(best, math.MaxUint64)
-				}
+		cOff, cEnd := ch.chOff[ch.portOff[v]], ch.chOff[ch.portOff[v+1]]
+		for ci := cOff; ci < cEnd; ci++ {
+			if localPartIdx(parts, st.ptOff, int32(len(parts)), ch.part[ci]) == -1 {
+				parts = append(parts, ch.part[ci])
+				best = append(best, math.MaxUint64)
 			}
 		}
 		if pi := p.Of[v]; pi != -1 {
@@ -154,21 +161,19 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 				st.own = int32(len(parts) - 1)
 			}
 		}
-		st.chEnd = int32(len(channels))
 		st.ptEnd = int32(len(parts))
-		for ci := st.chOff; ci < st.chEnd; ci++ {
-			if li := localPartIdx(parts, st.ptOff, st.ptEnd, channels[ci].part); li != -1 && best[li] != math.MaxUint64 {
+		for ci := cOff; ci < cEnd; ci++ {
+			if li := localPartIdx(parts, st.ptOff, st.ptEnd, ch.part[ci]); li != -1 && best[li] != math.MaxUint64 {
 				dirty[ci] = true
 			}
 		}
 	}
-	portOff := make([]int32, n+1) // node -> offset into sentRound
-	for v := 0; v < n; v++ {
-		portOff[v+1] = portOff[v] + int32(g.Degree(v))
-	}
+	portOff, chOff, chPart := ch.portOff, ch.chOff, ch.part
 	step := func(nd *Node, msgs []Message) bool {
 		st := &state[nd.ID]
-		// Fold in the previous round's deliveries.
+		pOff, pEnd := portOff[nd.ID], portOff[nd.ID+1]
+		// Fold in the previous round's deliveries: an improved key dirties
+		// the part's channels on every port but the arrival port.
 		for _, msg := range msgs {
 			pi := int32(msg.Payload[0])
 			key := msg.Payload[1]
@@ -177,11 +182,9 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 				continue
 			}
 			best[li] = key
-			for ci := st.chOff; ci < st.chEnd; ci++ {
-				if channels[ci].part == pi && int(channels[ci].port) != msg.Port {
-					dirty[ci] = true
-				}
-			}
+			arrival := pOff + int32(msg.Port)
+			markPart(dirty, chPart, chOff[pOff], chOff[arrival], pi)
+			markPart(dirty, chPart, chOff[arrival+1], chOff[pEnd], pi)
 		}
 		if int(st.round) == budget {
 			if st.own != -1 {
@@ -189,17 +192,16 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 			}
 			return false
 		}
-		// One pending update per port, lowest part ID first (channels are
-		// built in (port, part) order).
-		sent := sentRound[portOff[nd.ID]:portOff[nd.ID+1]]
-		for ci := st.chOff; ci < st.chEnd; ci++ {
-			ch := channels[ci]
-			if !dirty[ci] || sent[ch.port] == st.round {
-				continue
+		// One pending update per port per round, its first dirty channel.
+		for q := pOff; q < pEnd; q++ {
+			for ci := chOff[q]; ci < chOff[q+1]; ci++ {
+				if dirty[ci] {
+					pi := chPart[ci]
+					nd.Send(int(q-pOff), Words{uint64(pi), best[localPartIdx(parts, st.ptOff, st.ptEnd, pi)]})
+					dirty[ci] = false
+					break
+				}
 			}
-			nd.Send(int(ch.port), Words{uint64(ch.part), best[localPartIdx(parts, st.ptOff, st.ptEnd, ch.part)]})
-			dirty[ci] = false
-			sent[ch.port] = st.round
 		}
 		st.round++
 		return true

@@ -12,7 +12,7 @@ import (
 
 // closureAggregate is the pre-slab reference implementation of one
 // aggregation run, used to cross-check the slab version.
-func closureAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []int32, keys, want []uint64, budget int) (int, bool) {
+func closureAggregate(g *graph.Graph, p *partition.Parts, ch *channels, keys, want []uint64, budget int) (int, bool) {
 	n := g.N()
 	finalBest := make([]uint64, n)
 	for v := range finalBest {
@@ -32,7 +32,8 @@ func closureAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) 
 			return -1
 		}
 		for port := 0; port < nd.Degree(); port++ {
-			for _, pi := range partsOnEdge(nd.PortEdge(port)) {
+			q := ch.portOff[nd.ID] + int32(port)
+			for _, pi := range ch.part[ch.chOff[q]:ch.chOff[q+1]] {
 				channels = append(channels, channel{int32(port), pi})
 				if localIdx(pi) == -1 {
 					parts = append(parts, pi)
@@ -128,19 +129,9 @@ func TestSlabAggregateMatchesClosureReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same channel relation the slab version used (shared builder).
+	// The same channel view the slab version used (shared builder).
 	g := e.G
-	partsOnEdge := buildEdgeChannels(g, p, s)
-	want := make([]uint64, p.NumParts())
-	for i := range want {
-		want[i] = math.MaxUint64
-		for _, v := range p.Sets[i] {
-			if keys[v] < want[i] {
-				want[i] = keys[v]
-			}
-		}
-	}
-	refRounds, ok := closureAggregate(g, p, partsOnEdge, keys, want, res.Budget)
+	refRounds, ok := closureAggregate(g, p, newChannels(g, p, s), keys, PartMins(p, keys), res.Budget)
 	if !ok {
 		t.Fatal("reference did not converge at the same budget")
 	}

@@ -86,7 +86,7 @@ func TestConstructShortcutAllocsFlat(t *testing.T) {
 }
 
 // TestRelaxPartwiseAllocsFlat pins the part-wise relaxation kernel on a
-// reused Relaxer (the channel CSR is built once; each Relax call builds
+// reused Relaxer (the channel view is built once; each Relax call builds
 // only its per-phase slabs).
 func TestRelaxPartwiseAllocsFlat(t *testing.T) {
 	rng := xrand.New(11)
@@ -124,7 +124,7 @@ func TestRelaxPartwiseAllocsFlat(t *testing.T) {
 
 // TestBatchRelaxAllocsFlat pins the batched k-source relaxation kernel on
 // a reused BatchRelaxer: one run's allocations are its setup slabs (the
-// k×n distance planes, channel CSR views, dirty bits), not O(node-rounds)
+// k×n distance planes, dirty bits), not O(node-rounds)
 // objects — the zero-allocs-per-round claim of the query-serving layer's
 // miss path.
 func TestBatchRelaxAllocsFlat(t *testing.T) {

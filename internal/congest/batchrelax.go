@@ -38,7 +38,7 @@ func BatchRelaxBudget(m shortcut.Measurement, k int) int {
 }
 
 // BatchRelaxer runs batched multi-source relaxation phases over a fixed
-// (graph, parts, shortcut) triple, reusing the channel CSR and the
+// (graph, parts, shortcut) triple, reusing the channel view and the
 // measured budget across phases. It is the k-source generalization of
 // Relaxer: one phase floods all k sources' tentative distances as
 // tag-multiplexed tokens (tag = source index) over the same channel graph,
@@ -53,19 +53,14 @@ func BatchRelaxBudget(m shortcut.Measurement, k int) int {
 // batch serializes: congestion k per port, dilation h, hence the O(h+k)
 // quiet point the budget tracks.
 type BatchRelaxer struct {
-	g           *graph.Graph
-	partsOnEdge func(int) []int32
-	m           shortcut.Measurement
+	g  *graph.Graph
+	ch *channels
+	m  shortcut.Measurement
 }
 
-// NewBatchRelaxer precomputes the channel structure and measures the
-// shortcut once.
+// NewBatchRelaxer builds the channel view and measures the shortcut once.
 func NewBatchRelaxer(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *BatchRelaxer {
-	return &BatchRelaxer{
-		g:           g,
-		partsOnEdge: buildEdgeChannels(g, p, s),
-		m:           s.Measure(),
-	}
+	return &BatchRelaxer{g: g, ch: newChannels(g, p, s), m: s.Measure()}
 }
 
 // Budget returns BatchRelaxBudget for k sources over this relaxer's
@@ -75,44 +70,42 @@ func (r *BatchRelaxer) Budget(k int) int { return BatchRelaxBudget(r.m, k) }
 // Relax runs one batched relaxation phase: init[s] is source s's tentative
 // distance vector (+Inf for "unknown"), and the result's Dist[s] is its
 // channel-graph fixed point. The round budget starts at BatchRelaxBudget
-// and doubles until every source's flood converges against the sequential
-// fixed point (the environment's ground truth), mirroring Relaxer.Relax.
+// and doubles (Adversary.retry, fault-free) until every source's flood
+// converges against the sequential fixed point (the environment's ground
+// truth), mirroring Relaxer.Relax.
 func (r *BatchRelaxer) Relax(weights []float64, init [][]float64) (*BatchRelaxResult, error) {
 	g := r.g
 	k := len(init)
 	if k == 0 {
 		return nil, fmt.Errorf("congest: batched relaxation needs at least one source")
 	}
-	if len(weights) != g.M() {
-		return nil, fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
-	}
-	for s, iv := range init {
-		if len(iv) != g.N() {
-			return nil, fmt.Errorf("congest: source %d has %d initial distances for %d vertices", s, len(iv), g.N())
-		}
-	}
-	for id, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("congest: edge %d has weight %v", id, w)
-		}
+	if err := relaxArgs(g, weights, init...); err != nil {
+		return nil, err
 	}
 	want := make([][]float64, k)
 	for s := 0; s < k; s++ {
-		want[s] = channelFixedPoint(g, r.partsOnEdge, weights, init[s])
+		want[s] = fixedPoint(g, r.ch.carries, weights, init[s])
 	}
-	budget := r.Budget(k)
-	for attempt := 0; attempt < 8; attempt++ {
-		res, converged, err := runBatchRelax(g, r.partsOnEdge, weights, init, want, budget)
+	var res *BatchRelaxResult
+	var faultFree *Adversary // retry's fault-free policy: nothing booked
+	err := faultFree.retry("BatchRelax", r.Budget(k), func(budget int) error {
+		var converged bool
+		var err error
+		res, converged, err = runBatchRelax(g, r.ch, weights, init, want, budget)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if converged {
-			res.Budget = budget
-			return res, nil
+		if !converged {
+			return &IncompleteError{Protocol: "BatchRelax", Budget: budget,
+				Detail: "flood left a vertex short of a source's channel-graph distance"}
 		}
-		budget *= 2
+		res.Budget = budget
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("congest: batched relaxation failed to converge within budget %d", budget)
+	return res, nil
 }
 
 // firstDirtySource scans a port's k per-source dirty slots (the window
@@ -134,26 +127,26 @@ func firstDirtySource(dirty []bool, off, k int) int {
 // batchFold folds one delivered token into the receiving node's k-slot
 // distance row and, on improvement, marks the source dirty on every
 // channel-carrying port of the node except the arrival port. row is the
-// node's dist[v*k : (v+1)*k] window; active and the pOff/pEnd window are
-// the node's ports; the return reports whether the token improved
-// anything.
+// node's dist[v*k : (v+1)*k] window; the pOff/pEnd window of chOff (the
+// channel view's per-port channel offsets) is the node's ports; the return
+// reports whether the token improved anything.
 //
 //congest:hotpath
 //congest:pure
-func batchFold(row []float64, dirty, active []bool, pOff, pEnd int32, k, arrival, src int, cand float64) bool {
+func batchFold(row []float64, dirty []bool, chOff []int32, pOff, pEnd int32, k, arrival, src int, cand float64) bool {
 	if cand >= row[src] {
 		return false
 	}
 	row[src] = cand
-	for pi := pOff; pi < pEnd; pi++ {
-		if active[pi] && int(pi-pOff) != arrival {
-			dirty[int(pi)*k+src] = true
+	for q := pOff; q < pEnd; q++ {
+		if chOff[q+1] > chOff[q] && int(q-pOff) != arrival {
+			dirty[int(q)*k+src] = true
 		}
 	}
 	return true
 }
 
-func runBatchRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights []float64, init, want [][]float64, budget int) (*BatchRelaxResult, bool, error) {
+func runBatchRelax(g *graph.Graph, ch *channels, weights []float64, init, want [][]float64, budget int) (*BatchRelaxResult, bool, error) {
 	n := g.N()
 	k := len(init)
 	// finalDist is laid out [s*n+v] so the result carves into per-source
@@ -166,70 +159,55 @@ func runBatchRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights []floa
 			dist[v*k+s] = init[s][v]
 		}
 	}
-	type nodeState struct {
-		pOff, pEnd int32 // the node's ports; ×k into dirty
-		round      int32
-	}
-	// Ports in global CSR order; a port participates iff its edge carries
-	// at least one channel.
-	totPorts := 0
+	// One dirty slot per (port, source) over the channel view's global
+	// ports; a port participates iff it carries at least one channel.
+	portOff, chOff := ch.portOff, ch.chOff
+	dirty := make([]bool, int(portOff[n])*k)
+	round := make([]int32, n)
 	for v := 0; v < n; v++ {
-		totPorts += g.Degree(v)
-	}
-	active := make([]bool, totPorts)
-	dirty := make([]bool, totPorts*k)
-	state := make([]nodeState, n)
-	pi := int32(0)
-	for v := 0; v < n; v++ {
-		st := &state[v]
-		st.pOff = pi
-		for _, a := range g.Adj(v) {
-			active[pi] = len(partsOnEdge(a.ID)) > 0
-			pi++
-		}
-		st.pEnd = pi
 		for s := 0; s < k; s++ {
 			if !math.IsInf(dist[v*k+s], 1) {
-				for p := st.pOff; p < st.pEnd; p++ {
-					if active[p] {
-						dirty[int(p)*k+s] = true
+				for q := portOff[v]; q < portOff[v+1]; q++ {
+					if chOff[q+1] > chOff[q] {
+						dirty[int(q)*k+s] = true
 					}
 				}
 			}
 		}
 	}
 	step := func(nd *Node, msgs []Message) bool {
-		st := &state[nd.ID]
-		row := dist[nd.ID*k : (nd.ID+1)*k]
+		v := nd.ID
+		pOff, pEnd := portOff[v], portOff[v+1]
+		row := dist[v*k : (v+1)*k]
 		// Fold in the previous round's deliveries: token tag = source
 		// index, value = sender's distance, plus the traversal cost of the
 		// edge it arrived on.
 		for _, msg := range msgs {
 			src := int(msg.Payload[0])
 			cand := WordFloat64(msg.Payload[1]) + weights[msg.Edge]
-			batchFold(row, dirty, active, st.pOff, st.pEnd, k, msg.Port, src, cand)
+			batchFold(row, dirty, chOff, pOff, pEnd, k, msg.Port, src, cand)
 		}
-		if int(st.round) == budget {
+		if int(round[v]) == budget {
 			for s := 0; s < k; s++ {
-				finalDist[s*n+nd.ID] = row[s]
+				finalDist[s*n+v] = row[s]
 			}
 			return false
 		}
 		// One pending token per port per round, lowest source tag first;
 		// the remaining tags wait for later rounds — the per-source
 		// congestion serialization that pipelines the batch in h+k rounds.
-		for p := st.pOff; p < st.pEnd; p++ {
-			if !active[p] {
+		for q := pOff; q < pEnd; q++ {
+			if chOff[q+1] == chOff[q] {
 				continue
 			}
-			src := firstDirtySource(dirty, int(p)*k, k)
+			src := firstDirtySource(dirty, int(q)*k, k)
 			if src < 0 {
 				continue
 			}
-			nd.Send(int(p-st.pOff), Words{uint64(src), Float64Word(row[src])})
-			dirty[int(p)*k+src] = false
+			nd.Send(int(q-pOff), Words{uint64(src), Float64Word(row[src])})
+			dirty[int(q)*k+src] = false
 		}
-		st.round++
+		round[v]++
 		return true
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, Options{MaxRounds: budget + 64})

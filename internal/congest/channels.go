@@ -6,60 +6,111 @@ import (
 	"repro/internal/shortcut"
 )
 
-// buildEdgeChannels computes, for every edge, the parts communicating over
-// it, in CSR layout: an edge carries its induced part (both endpoints in
-// the same part) plus every part whose shortcut borrows it. This is the
-// communication structure shared by all part-wise framework primitives
-// (aggregation, distance relaxation): one logical (part, edge) flow per
-// channel, so congested edges serialize exactly as the congestion parameter
-// predicts.
-//
-// The returned function yields the channel parts of an edge ID; the slice
-// is valid until the builder's backing arrays are garbage.
-func buildEdgeChannels(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) func(id int) []int32 {
-	peOff := make([]int32, g.M()+1)
-	induced := func(id int) int {
-		if g.EdgeRemoved(id) {
-			// Churn tombstone: carries no channel (and its endpoints are
-			// gone, so the part lookup below would misindex).
-			return -1
-		}
-		e := g.Edge(id)
-		if pi := p.Of[e.U]; pi != -1 && pi == p.Of[e.V] {
-			return pi
-		}
+// This file is the one place the (graph, parts, shortcut) → channel view is
+// built. A channel is one logical (part, edge) flow: an edge carries its
+// induced part (both endpoints in the same part) plus every part whose
+// shortcut borrows it. Every part-wise framework primitive — aggregation
+// (AggregateMin), distance relaxation (Relaxer, BatchRelaxer) and their
+// sequential oracles — communicates over exactly these channels, so
+// congested edges serialize exactly as the congestion parameter predicts.
+
+// inducedPart returns the part both endpoints of edge id belong to, or -1.
+func inducedPart(g *graph.Graph, p *partition.Parts, id int) int {
+	if g.EdgeRemoved(id) {
+		// Churn tombstone: carries no induced channel (and its endpoints
+		// are gone, so the part lookup below would misindex).
 		return -1
 	}
-	for id := 0; id < g.M(); id++ {
-		if induced(id) != -1 {
-			peOff[id+1]++
+	e := g.Edge(id)
+	if pi := p.Of[e.U]; pi != -1 && pi == p.Of[e.V] {
+		return pi
+	}
+	return -1
+}
+
+// ChannelMask reports, per edge ID, whether the edge carries at least one
+// channel. It is all of the view a sequential relaxation oracle needs
+// (graph.RelaxFixedPoint).
+func ChannelMask(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) []bool {
+	mask := make([]bool, g.M())
+	for id := range mask {
+		mask[id] = inducedPart(g, p, id) != -1
+	}
+	for _, ids := range s.Edges {
+		for _, id := range ids {
+			mask[id] = true
+		}
+	}
+	return mask
+}
+
+// channels is the per-node channel slab the round-driven part-wise
+// protocols run over. Node v's ports are the global ports
+// portOff[v] … portOff[v+1]-1, in adjacency order; global port q carries
+// the channels chOff[q] … chOff[q+1]-1, whose parts are part[chOff[q]:
+// chOff[q+1]] (the edge's induced part first, then its borrowing parts in
+// part order). Protocol state indexed by channel or by port lives in flat
+// slabs over these offsets, so a whole run performs a constant number of
+// allocations; a port whose range is empty carries no channel.
+type channels struct {
+	carries []bool // ChannelMask
+	portOff []int32
+	chOff   []int32
+	part    []int32
+}
+
+// newChannels builds the channel view of (g, p, s).
+func newChannels(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *channels {
+	// Per-edge part lists in CSR layout: a counting pass, then a fill.
+	m := g.M()
+	edgeOff := make([]int32, m+1)
+	for id := 0; id < m; id++ {
+		if inducedPart(g, p, id) != -1 {
+			edgeOff[id+1]++
 		}
 	}
 	for pi, ids := range s.Edges {
 		for _, id := range ids {
-			if induced(id) != pi {
-				peOff[id+1]++
+			if inducedPart(g, p, id) != pi {
+				edgeOff[id+1]++
 			}
 		}
 	}
-	for id := 0; id < g.M(); id++ {
-		peOff[id+1] += peOff[id]
+	for id := 0; id < m; id++ {
+		edgeOff[id+1] += edgeOff[id]
 	}
-	peStore := make([]int32, peOff[g.M()])
-	peLen := make([]int32, g.M())
-	for id := 0; id < g.M(); id++ {
-		if pi := induced(id); pi != -1 {
-			peStore[peOff[id]] = int32(pi)
-			peLen[id] = 1
+	edgeParts := make([]int32, edgeOff[m])
+	fill := append([]int32(nil), edgeOff[:m]...)
+	for id := 0; id < m; id++ {
+		if pi := inducedPart(g, p, id); pi != -1 {
+			edgeParts[fill[id]] = int32(pi)
+			fill[id]++
 		}
 	}
 	for pi, ids := range s.Edges {
 		for _, id := range ids {
-			if induced(id) != pi {
-				peStore[peOff[id]+peLen[id]] = int32(pi)
-				peLen[id]++
+			if inducedPart(g, p, id) != pi {
+				edgeParts[fill[id]] = int32(pi)
+				fill[id]++
 			}
 		}
 	}
-	return func(id int) []int32 { return peStore[peOff[id] : peOff[id]+peLen[id]] }
+	// The per-node slab: each port copies its edge's list.
+	n := g.N()
+	c := &channels{
+		carries: ChannelMask(g, p, s),
+		portOff: make([]int32, n+1),
+		part:    make([]int32, 0, 2*len(edgeParts)),
+	}
+	for v := 0; v < n; v++ {
+		c.portOff[v+1] = c.portOff[v] + int32(g.Degree(v))
+	}
+	c.chOff = make([]int32, 1, c.portOff[n]+1)
+	for v := 0; v < n; v++ {
+		for _, a := range g.Adj(v) {
+			c.part = append(c.part, edgeParts[edgeOff[a.ID]:edgeOff[a.ID+1]]...)
+			c.chOff = append(c.chOff, int32(len(c.part)))
+		}
+	}
+	return c
 }

@@ -23,10 +23,31 @@ type RelaxResult struct {
 	Budget          int
 }
 
-// RelaxPartwise runs one phase of part-wise distance relaxation: starting
-// from the tentative distances init (+Inf for "unknown"), it floods
-// improved distances along each part's induced edges plus its shortcut
-// edges until every vertex holds the channel-graph fixed point
+// RelaxBudget is the framework's per-primitive round budget for a shortcut
+// of the given measurement: the estimate simulated relaxation starts from,
+// and the per-phase charge the analytic SSSP fast path books.
+func RelaxBudget(m shortcut.Measurement) int {
+	return m.Quality + 2*m.TreeDiameter + 8
+}
+
+// Relaxer runs part-wise distance relaxation phases over a fixed (graph,
+// parts, shortcut) triple, building the channel view and measuring the
+// round budget once for all phases.
+type Relaxer struct {
+	g      *graph.Graph
+	ch     *channels
+	budget int
+}
+
+// NewRelaxer builds the channel view and round budget.
+func NewRelaxer(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *Relaxer {
+	return &Relaxer{g: g, ch: newChannels(g, p, s), budget: RelaxBudget(s.Measure())}
+}
+
+// Relax runs one phase of part-wise distance relaxation: starting from the
+// tentative distances init (+Inf for "unknown"), it floods improved
+// distances along each part's induced edges plus its shortcut edges until
+// every vertex holds the channel-graph fixed point
 //
 //	dist(v) = min over channel-graph paths u⇝v of init(u) + Σ weights(e).
 //
@@ -39,153 +60,122 @@ type RelaxResult struct {
 // of an edge know its weight, so messages carry the sender's distance and
 // the receiver adds the traversal cost.
 //
-// The protocol is round-driven (RoundFunc): a node-round is a plain
-// function call on shared slab state, so a whole run performs a constant
-// number of allocations. The round budget starts at RelaxBudget of the
-// shortcut's measurement and doubles until the flood converges (checked
-// against the sequential fixed point, the environment's ground-truth); the
-// converged run's quiet-point is reported.
-//
-// Callers running many phases over the same (g, p, s) should build a
-// Relaxer once instead: RelaxPartwise rebuilds the channel structure and
-// re-measures the shortcut on every call.
-func RelaxPartwise(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, weights, init []float64) (*RelaxResult, error) {
-	return NewRelaxer(g, p, s).Relax(weights, init)
-}
-
-// RelaxBudget is the framework's per-primitive round budget for a shortcut
-// of the given measurement: the estimate simulated relaxation starts from,
-// and the per-phase charge the analytic SSSP fast path books.
-func RelaxBudget(m shortcut.Measurement) int {
-	return m.Quality + 2*m.TreeDiameter + 8
-}
-
-// Relaxer runs part-wise relaxation phases over a fixed (graph, parts,
-// shortcut) triple, reusing the channel CSR and the measured round budget
-// across phases.
-type Relaxer struct {
-	g           *graph.Graph
-	partsOnEdge func(int) []int32
-	budget      int
-}
-
-// NewRelaxer precomputes the channel structure and round budget.
-func NewRelaxer(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *Relaxer {
-	return &Relaxer{
-		g:           g,
-		partsOnEdge: buildEdgeChannels(g, p, s),
-		budget:      RelaxBudget(s.Measure()),
-	}
-}
-
-// Relax runs one relaxation phase (see RelaxPartwise).
+// The round budget starts at RelaxBudget of the shortcut's measurement
+// and doubles (Adversary.retry, fault-free) until the flood converges,
+// checked against the sequential fixed point (graph.RelaxFixedPoint, the
+// environment's ground truth); the converged run's quiet-point is
+// reported.
 func (r *Relaxer) Relax(weights, init []float64) (*RelaxResult, error) {
 	g := r.g
-	if len(weights) != g.M() {
-		return nil, fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
+	if err := relaxArgs(g, weights, init); err != nil {
+		return nil, err
 	}
-	if len(init) != g.N() {
-		return nil, fmt.Errorf("congest: %d initial distances for %d vertices", len(init), g.N())
+	want := fixedPoint(g, r.ch.carries, weights, init)
+	var res *RelaxResult
+	var faultFree *Adversary // retry's fault-free policy: nothing booked
+	err := faultFree.retry("Relax", r.budget, func(budget int) error {
+		var converged bool
+		var err error
+		res, converged, err = runRelax(g, r.ch, weights, init, want, budget)
+		if err != nil {
+			return err
+		}
+		if !converged {
+			return &IncompleteError{Protocol: "Relax", Budget: budget,
+				Detail: "flood left a vertex short of its channel-graph distance"}
+		}
+		res.Budget = budget
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// relaxArgs validates a relaxation's inputs: one non-negative weight per
+// edge and, per source, one initial distance per vertex.
+func relaxArgs(g *graph.Graph, weights []float64, init ...[]float64) error {
+	if len(weights) != g.M() {
+		return fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
+	}
+	for s, iv := range init {
+		if len(iv) != g.N() {
+			return fmt.Errorf("congest: source %d has %d initial distances for %d vertices", s, len(iv), g.N())
+		}
 	}
 	for id, w := range weights {
 		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("congest: edge %d has weight %v", id, w)
+			return fmt.Errorf("congest: edge %d has weight %v", id, w)
 		}
 	}
-	want := channelFixedPoint(g, r.partsOnEdge, weights, init)
-	budget := r.budget
-	for attempt := 0; attempt < 8; attempt++ {
-		res, converged, err := runRelax(g, r.partsOnEdge, weights, init, want, budget)
-		if err != nil {
-			return nil, err
-		}
-		if converged {
-			res.Budget = budget
-			return res, nil
-		}
-		budget *= 2
-	}
-	return nil, fmt.Errorf("congest: relaxation failed to converge within budget %d", budget)
+	return nil
 }
 
-func runRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights, init, want []float64, budget int) (*RelaxResult, bool, error) {
+// fixedPoint is a relaxation's expected answer: init relaxed to its fixed
+// point over the edges mask admits (nil: every edge).
+func fixedPoint(g *graph.Graph, mask []bool, weights, init []float64) []float64 {
+	dist := append([]float64(nil), init...)
+	var h graph.MinDistHeap
+	graph.RelaxFixedPoint(g, mask, weights, dist, &h, make([]bool, g.N()))
+	return dist
+}
+
+func runRelax(g *graph.Graph, ch *channels, weights, init, want []float64, budget int) (*RelaxResult, bool, error) {
 	n := g.N()
 	finalDist := make([]float64, n)
 	for v := range finalDist {
 		finalDist[v] = math.Inf(1)
 	}
-	// Per-node protocol state lives in shared slab arrays (mirroring the
-	// aggregation protocol): channels in (port, part) order per node, dirty
-	// flags per channel, one sent-round slot per port.
-	type channel struct{ port, part int32 }
-	type nodeState struct {
-		chOff, chEnd int32 // into channels/dirty
-		dist         float64
-		round        int32
-	}
-	totCh := 0
-	for id := 0; id < g.M(); id++ {
-		totCh += 2 * len(partsOnEdge(id))
-	}
-	channels := make([]channel, 0, totCh)
-	dirty := make([]bool, totCh)
-	sentRound := make([]int32, 0, totCh)
-	state := make([]nodeState, n)
+	// Per-node protocol state lives in shared slabs over the channel view:
+	// one dirty flag per channel, one distance and round counter per node.
+	portOff, chOff, chPart := ch.portOff, ch.chOff, ch.part
+	dist := append([]float64(nil), init...)
+	round := make([]int32, n)
+	dirty := make([]bool, len(chPart))
 	for v := 0; v < n; v++ {
-		st := &state[v]
-		st.chOff = int32(len(channels))
-		st.dist = init[v]
-		for port, a := range g.Adj(v) {
-			sentRound = append(sentRound, -1)
-			for _, pi := range partsOnEdge(a.ID) {
-				channels = append(channels, channel{int32(port), pi})
-			}
-		}
-		st.chEnd = int32(len(channels))
-		if !math.IsInf(st.dist, 1) {
-			for ci := st.chOff; ci < st.chEnd; ci++ {
+		if !math.IsInf(dist[v], 1) {
+			for ci := chOff[portOff[v]]; ci < chOff[portOff[v+1]]; ci++ {
 				dirty[ci] = true
 			}
 		}
 	}
-	portOff := make([]int32, n+1) // node -> offset into sentRound
-	for v := 0; v < n; v++ {
-		portOff[v+1] = portOff[v] + int32(g.Degree(v))
-	}
 	step := func(nd *Node, msgs []Message) bool {
-		st := &state[nd.ID]
+		v := nd.ID
+		pOff, pEnd := portOff[v], portOff[v+1]
 		// Fold in the previous round's deliveries: the sender's distance
-		// plus the traversal cost of the edge it arrived on.
+		// plus the traversal cost of the edge it arrived on. An improvement
+		// dirties every channel but the arrival port's.
 		for _, msg := range msgs {
 			cand := WordFloat64(msg.Payload[1]) + weights[msg.Edge]
-			if cand >= st.dist {
+			if cand >= dist[v] {
 				continue
 			}
-			st.dist = cand
-			for ci := st.chOff; ci < st.chEnd; ci++ {
-				if int(channels[ci].port) != msg.Port {
-					dirty[ci] = true
+			dist[v] = cand
+			arrival := pOff + int32(msg.Port)
+			for ci := chOff[pOff]; ci < chOff[arrival]; ci++ {
+				dirty[ci] = true
+			}
+			for ci := chOff[arrival+1]; ci < chOff[pEnd]; ci++ {
+				dirty[ci] = true
+			}
+		}
+		if int(round[v]) == budget {
+			finalDist[v] = dist[v]
+			return false
+		}
+		// One pending update per port per round, its first dirty channel;
+		// the rest wait for later rounds (the congestion serialization).
+		for q := pOff; q < pEnd; q++ {
+			for ci := chOff[q]; ci < chOff[q+1]; ci++ {
+				if dirty[ci] {
+					nd.Send(int(q-pOff), Words{uint64(chPart[ci]), Float64Word(dist[v])})
+					dirty[ci] = false
+					break
 				}
 			}
 		}
-		if int(st.round) == budget {
-			finalDist[nd.ID] = st.dist
-			return false
-		}
-		// One pending update per port per round, in (port, part) channel
-		// order; remaining dirty channels wait for later rounds (the
-		// congestion serialization).
-		sent := sentRound[portOff[nd.ID]:portOff[nd.ID+1]]
-		for ci := st.chOff; ci < st.chEnd; ci++ {
-			ch := channels[ci]
-			if !dirty[ci] || sent[ch.port] == st.round {
-				continue
-			}
-			nd.Send(int(ch.port), Words{uint64(ch.part), Float64Word(st.dist)})
-			dirty[ci] = false
-			sent[ch.port] = st.round
-		}
-		st.round++
+		round[v]++
 		return true
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, Options{MaxRounds: budget + 64})
@@ -210,22 +200,15 @@ func runRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights, init, want
 // every edge of g: the naive SSSP baseline. Each round, every node whose
 // tentative distance improved broadcasts it; the flood settles in exactly
 // as many rounds as the largest hop count over minimum-weight paths (the
-// quantity graph.Dijkstra reports as Hops). Budgeting and convergence
-// checking mirror RelaxPartwise.
+// quantity graph.Dijkstra reports as Hops). Convergence is checked against
+// the sequential fixed point, as in Relaxer.Relax, but the baseline's
+// budget doubles from 16 for up to 16 attempts (or until it exceeds 4n):
+// hop-heavy paths need far more rounds than the shortcut quality predicts.
 func RelaxBellmanFord(g *graph.Graph, weights, init []float64) (*RelaxResult, error) {
-	if len(weights) != g.M() {
-		return nil, fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
+	if err := relaxArgs(g, weights, init); err != nil {
+		return nil, err
 	}
-	if len(init) != g.N() {
-		return nil, fmt.Errorf("congest: %d initial distances for %d vertices", len(init), g.N())
-	}
-	for id, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("congest: edge %d has weight %v", id, w)
-		}
-	}
-	allEdges := func(id int) []int32 { return oneChannel }
-	want := channelFixedPoint(g, allEdges, weights, init)
+	want := fixedPoint(g, nil, weights, init)
 	n := g.N()
 	budget := 16
 	for attempt := 0; attempt < 16; attempt++ {
@@ -244,10 +227,6 @@ func RelaxBellmanFord(g *graph.Graph, weights, init []float64) (*RelaxResult, er
 	}
 	return nil, fmt.Errorf("congest: Bellman-Ford failed to converge within budget %d", budget)
 }
-
-// oneChannel is the degenerate channel list of the naive baseline: every
-// edge carries a single flow.
-var oneChannel = []int32{0}
 
 func runBFRelax(g *graph.Graph, weights, init, want []float64, budget int) (*RelaxResult, bool, error) {
 	n := g.N()
@@ -290,40 +269,4 @@ func runBFRelax(g *graph.Graph, weights, init, want []float64, budget int) (*Rel
 	}
 	res := &RelaxResult{Dist: finalDist, Stats: stats, EffectiveRounds: stats.LastActiveRound}
 	return res, converged, nil
-}
-
-// channelFixedPoint computes the sequential ground truth of a relaxation
-// phase: the pointwise minimum over channel-graph paths of init[u] plus the
-// path's weight, via a potential-initialized Dijkstra over the edges that
-// carry at least one channel. Both the protocol and this oracle accumulate
-// path weights source-to-target, so their results are bit-identical.
-func channelFixedPoint(g *graph.Graph, partsOnEdge func(int) []int32, weights, init []float64) []float64 {
-	n := g.N()
-	dist := make([]float64, n)
-	copy(dist, init)
-	var h graph.MinDistHeap
-	h.Reset(dist)
-	for v := 0; v < n; v++ {
-		if !math.IsInf(dist[v], 1) {
-			h.Push(v)
-		}
-	}
-	done := make([]bool, n)
-	for h.Len() > 0 {
-		v := h.Pop()
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for _, a := range g.Adj(v) {
-			if len(partsOnEdge(a.ID)) == 0 {
-				continue
-			}
-			if cand := dist[v] + weights[a.ID]; cand < dist[a.To] {
-				dist[a.To] = cand
-				h.Push(a.To)
-			}
-		}
-	}
-	return dist
 }

@@ -63,7 +63,7 @@ func TestRelaxBellmanFordMatchesDijkstra(t *testing.T) {
 }
 
 // refChannelRelax computes the fixed point over the part+shortcut channel
-// edges by brute-force iteration: the ground truth RelaxPartwise must hit.
+// edges by brute-force iteration: the ground truth Relaxer.Relax must hit.
 func refChannelRelax(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, w, init []float64) []float64 {
 	onChannel := make([]bool, g.M())
 	for id := 0; id < g.M(); id++ {
@@ -119,7 +119,7 @@ func TestRelaxPartwiseComputesChannelFixedPoint(t *testing.T) {
 	init := infInit(g.N(), 0)
 	init[7] = 2.5
 	init[20] = 0.25
-	res, err := congest.RelaxPartwise(g, p, s, edgeWeights(g), init)
+	res, err := congest.NewRelaxer(g, p, s).Relax(edgeWeights(g), init)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRelaxPartwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 	s, _ := shortcut.ObliviousAuto(g, tr, p)
 	run := func() string {
-		res, err := congest.RelaxPartwise(g, p, s, edgeWeights(g), infInit(g.N(), 3))
+		res, err := congest.NewRelaxer(g, p, s).Relax(edgeWeights(g), infInit(g.N(), 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,15 +176,15 @@ func TestRelaxInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := shortcut.Empty(g, tr, p)
+	r := congest.NewRelaxer(g, p, shortcut.Empty(g, tr, p))
 	w := []float64{1, 1, 1}
-	if _, err := congest.RelaxPartwise(g, p, s, w[:2], infInit(4, 0)); err == nil {
+	if _, err := r.Relax(w[:2], infInit(4, 0)); err == nil {
 		t.Fatal("accepted short weights")
 	}
-	if _, err := congest.RelaxPartwise(g, p, s, w, infInit(3, 0)); err == nil {
+	if _, err := r.Relax(w, infInit(3, 0)); err == nil {
 		t.Fatal("accepted short init")
 	}
-	if _, err := congest.RelaxPartwise(g, p, s, []float64{1, -1, 1}, infInit(4, 0)); err == nil {
+	if _, err := r.Relax([]float64{1, -1, 1}, infInit(4, 0)); err == nil {
 		t.Fatal("accepted negative weight")
 	}
 	if _, err := congest.RelaxBellmanFord(g, []float64{1, math.NaN(), 1}, infInit(4, 0)); err == nil {

@@ -179,7 +179,8 @@ func probeBudget(t *graph.Tree, p *partition.Parts, est int) int {
 // estimated by convergecast over the constructed shortcut:
 //
 //   - congestion: every vertex knows how many parts it admitted over its
-//     parent edge; the maximum convergecasts up the tree (TreeMax);
+//     parent edge; the maximum convergecasts up the tree (a one-tag
+//     Pipecast under CombineMax);
 //   - block counts: every vertex decides locally which parts' admitted
 //     chains it tops (shortcut.BlockTops); the per-part sums pipeline up
 //     the tree (Pipecast), one token per tree edge per round;
@@ -283,7 +284,7 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 // maxBlocks · maxAugmentedEcc + congestion — and, in simulate mode, runs
 // the in-network protocols realizing it, booking their measured rounds
 // into res and validating each convergecast against the ground truth: the
-// congestion maximum (TreeMax), the augmented-eccentricity probe
+// congestion maximum (treeCombine), the augmented-eccentricity probe
 // (AggregateMin), and the per-part block-count sums (a pipelined
 // multi-token convergecast of the locally decidable BlockTops indicators
 // — formerly a modeled charge). The estimate's value is always derived
@@ -318,7 +319,7 @@ func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *short
 			}
 		}
 		g.ReleaseScratch(use)
-		rootMax, mstats, err := treeCombineUnder(t, counts, CombineMax, adv)
+		rootMax, mstats, err := treeCombine(t, counts, CombineMax, adv)
 		if err != nil {
 			return 0, err
 		}

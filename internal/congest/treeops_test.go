@@ -1,38 +1,12 @@
-package congest_test
+package congest
 
 import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
-
-func TestTreeBroadcast(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 6; trial++ {
-		g := gen.ErdosRenyiConnected(30+rng.Intn(40), 120, rng)
-		root := rng.Intn(g.N())
-		tr, err := graph.BFSTree(g, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const secret = 0xDEADBEEF
-		values, stats, err := congest.TreeBroadcast(tr, secret)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, got := range values {
-			if got != secret {
-				t.Fatalf("vertex %d got %x", v, got)
-			}
-		}
-		if stats.LastActiveRound > tr.Height()+2 {
-			t.Fatalf("broadcast active for %d rounds, height %d", stats.LastActiveRound, tr.Height())
-		}
-	}
-}
 
 func TestTreeSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -48,7 +22,7 @@ func TestTreeSum(t *testing.T) {
 			values[v] = uint64(rng.Intn(1000))
 			want += values[v]
 		}
-		got, stats, err := congest.TreeSum(tr, values)
+		got, stats, err := TreeSum(tr, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,6 +35,8 @@ func TestTreeSum(t *testing.T) {
 	}
 }
 
+// TestTreeMax pins the maximum convergecast SearchCap measures a
+// constructed shortcut's congestion with.
 func TestTreeMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 6; trial++ {
@@ -77,7 +53,7 @@ func TestTreeMax(t *testing.T) {
 				want = values[v]
 			}
 		}
-		got, stats, err := congest.TreeMax(tr, values)
+		got, stats, err := treeCombine(tr, values, CombineMax, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,21 +69,7 @@ func TestTreeMax(t *testing.T) {
 func TestTreeSumLengthMismatch(t *testing.T) {
 	g := gen.Path(4)
 	tr, _ := graph.BFSTree(g, 0)
-	if _, _, err := congest.TreeSum(tr, []uint64{1}); err == nil {
+	if _, _, err := TreeSum(tr, []uint64{1}); err == nil {
 		t.Fatal("accepted short value slice")
-	}
-}
-
-func TestTreeBroadcastOnStar(t *testing.T) {
-	g := gen.Star(10)
-	tr, _ := graph.BFSTree(g, 0)
-	values, _, err := congest.TreeBroadcast(tr, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range values {
-		if v != 7 {
-			t.Fatal("star broadcast incomplete")
-		}
 	}
 }

@@ -44,11 +44,11 @@ func E6MST(rimSizes []int, seed int64) *Table {
 		if err != nil {
 			panic(err)
 		}
-		sc, err := mst.ShortcutBoruvka(g, mst.ObliviousProvider(g, tr))
+		sc, err := mst.ShortcutBoruvka(g, pipeline.Oblivious(g, tr))
 		if err != nil {
 			panic(err)
 		}
-		naive, err := mst.ShortcutBoruvka(g, mst.EmptyProvider(g, tr))
+		naive, err := mst.ShortcutBoruvka(g, pipeline.Empty(g, tr))
 		if err != nil {
 			panic(err)
 		}
@@ -108,7 +108,7 @@ func E6bMSTExcludedMinor(bagCounts []int, seed int64) *Table {
 		if err != nil {
 			panic(err)
 		}
-		naive, err := mst.ShortcutBoruvka(cs.G, mst.EmptyProvider(cs.G, tr))
+		naive, err := mst.ShortcutBoruvka(cs.G, pipeline.Empty(cs.G, tr))
 		if err != nil {
 			panic(err)
 		}
@@ -171,11 +171,11 @@ func E8bLowerBoundMST(sizes []int, seed int64) *Table {
 		if err != nil {
 			panic(err)
 		}
-		sc, err := mst.ShortcutBoruvka(lb.G, mst.ObliviousProvider(lb.G, tr))
+		sc, err := mst.ShortcutBoruvka(lb.G, pipeline.Oblivious(lb.G, tr))
 		if err != nil {
 			panic(err)
 		}
-		naive, err := mst.ShortcutBoruvka(lb.G, mst.EmptyProvider(lb.G, tr))
+		naive, err := mst.ShortcutBoruvka(lb.G, pipeline.Empty(lb.G, tr))
 		if err != nil {
 			panic(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mst"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/xrand"
 )
 
@@ -318,7 +319,7 @@ func ScalePipeline(family string, n int, mode ScaleMode) (*ScaleResult, error) {
 	// mst: shortcut Borůvka over the flooding provider at the found cap,
 	// validated edge-for-edge against the CSR Kruskal oracle.
 	if err := stage("mst", func(s *ScaleStage) error {
-		provider := mst.FloodProvider(g, tree, cap, simDeep)
+		provider := pipeline.Flood(g, tree, cap, simDeep)
 		run, err := mst.ShortcutBoruvkaOpts(g, provider, mst.Options{Simulate: simDeep})
 		if err != nil {
 			return err

@@ -70,11 +70,50 @@ func Dijkstra(g *Graph, src int) (*SPResult, error) {
 	return r, nil
 }
 
+// RelaxFixedPoint relaxes dist in place to its fixed point over the edges
+// mask admits (a nil mask admits every edge):
+//
+//	dist(v) = min over admitted paths u⇝v of dist(u) + Σ w(e),
+//
+// by potential-initialized Dijkstra: every finite entry of dist seeds the
+// heap. It reports whether any distance decreased. This is the sequential
+// oracle of the part-wise relaxation protocols in congest and the
+// analytic-mode phase of sssp; the protocols accumulate path weights
+// source-to-target exactly as this does, so their results are
+// bit-identical. The heap h and the done slice (length g.N()) are
+// caller-owned scratch, so a warm call allocates nothing.
+func RelaxFixedPoint(g *Graph, mask []bool, w, dist []float64, h *MinDistHeap, done []bool) bool {
+	h.Reset(dist)
+	for v := range dist {
+		done[v] = false
+		if !math.IsInf(dist[v], 1) {
+			h.Push(v)
+		}
+	}
+	changed := false
+	for h.Len() > 0 {
+		v := h.Pop()
+		if done[v] {
+			continue
+		}
+		done[v] = true
+		for _, a := range g.adj[v] {
+			if mask != nil && !mask[a.ID] {
+				continue
+			}
+			if cand := dist[v] + w[a.ID]; cand < dist[a.To] {
+				dist[a.To] = cand
+				changed = true
+				h.Push(a.To)
+			}
+		}
+	}
+	return changed
+}
+
 // MinDistHeap is a binary min-heap of vertex IDs keyed by an external
 // distance slice, with lazy deletion (callers skip stale pops via a done
-// set). It is the shared substrate of the relaxation fixed-point oracles
-// in congest and sssp, which must stay algorithmically in lock-step for
-// their bit-identical-distances guarantee.
+// set). It is the substrate of RelaxFixedPoint.
 //
 // Each entry snapshots its key at Push time. Keying entries by the live
 // distance slice instead would silently break the heap invariant whenever

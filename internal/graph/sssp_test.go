@@ -113,19 +113,22 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-// The fixed-point oracles (congest's channelFixedPoint, sssp's intra-phase
-// Dijkstra) run done-marking Dijkstra over MinDistHeap starting from an
-// all-finite distance vector. That is only correct if heap order survives
-// key decreases after insertion — i.e., if entries snapshot their key at
-// Push time. A heap keyed by the live distance slice corrupts silently on
-// exactly this access pattern: a stale entry's key shrinks in place, Pop
-// surfaces a non-minimal vertex, it is marked done, and the improvement
-// that arrives afterwards is discarded. This regression pins the scenario:
-// a cycle with a heavy apex (long rim-routed shortest paths) relaxed from
-// an apex-routed all-finite init, checked bit-exactly against the
-// exhaustive Bellman-Ford fixed point.
+// RelaxFixedPoint (the relaxation oracle of congest's part-wise protocols
+// and sssp's analytic phases) runs done-marking Dijkstra over MinDistHeap
+// starting from an all-finite distance vector. That is only correct if
+// heap order survives key decreases after insertion — i.e., if entries
+// snapshot their key at Push time. A heap keyed by the live distance slice
+// corrupts silently on exactly this access pattern: a stale entry's key
+// shrinks in place, Pop surfaces a non-minimal vertex, it is marked done,
+// and the improvement that arrives afterwards is discarded. This
+// regression pins the scenario: a cycle with a heavy apex (long
+// rim-routed shortest paths) relaxed from an apex-routed all-finite init,
+// over every edge and over a random channel mask, checked bit-exactly
+// against the exhaustive Bellman-Ford fixed point over the same edges.
 func TestMinDistHeapAllFiniteInitDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	maskRng := rand.New(rand.NewSource(43))
+	var h MinDistHeap
 	for trial := 0; trial < 20; trial++ {
 		const n = 96
 		g := New(n + 1)
@@ -134,6 +137,12 @@ func TestMinDistHeapAllFiniteInitDijkstra(t *testing.T) {
 			g.AddEdge(v, (v+1)%n, 1+rng.Float64())
 			g.AddEdge(v, apex, float64(n)*(1+rng.Float64()))
 		}
+		w := make([]float64, g.M())
+		mask := make([]bool, g.M())
+		for id := range w {
+			w[id] = g.Edge(id).W
+			mask[id] = maskRng.Intn(4) != 0
+		}
 		// All-finite init mimicking a mid-pipeline phase: every vertex
 		// already holds its apex-routed estimate.
 		init := make([]float64, g.N())
@@ -141,44 +150,33 @@ func TestMinDistHeapAllFiniteInitDijkstra(t *testing.T) {
 			init[v] = g.Edge(2*v + 1).W
 		}
 		init[apex] = 0
-		// Done-marking Dijkstra over MinDistHeap — the oracles' pattern.
-		dist := append([]float64(nil), init...)
-		var h MinDistHeap
-		h.Reset(dist)
-		for v := range dist {
-			h.Push(v)
-		}
-		done := make([]bool, g.N())
-		for h.Len() > 0 {
-			v := h.Pop()
-			if done[v] {
-				continue
-			}
-			done[v] = true
-			for _, a := range g.Adj(v) {
-				if cand := dist[v] + g.Edge(a.ID).W; cand < dist[a.To] {
-					dist[a.To] = cand
-					h.Push(a.To)
-				}
-			}
-		}
-		// Exhaustive Bellman-Ford fixed point: same left-folded path sums,
-		// so the comparison is bit-exact.
-		want := append([]float64(nil), init...)
-		for changed := true; changed; {
-			changed = false
-			for v := 0; v < g.N(); v++ {
-				for _, a := range g.Adj(v) {
-					if cand := want[v] + g.Edge(a.ID).W; cand < want[a.To] {
-						want[a.To] = cand
-						changed = true
+		for _, in := range []struct {
+			name string
+			mask []bool
+		}{{"all edges", nil}, {"random mask", mask}} {
+			dist := append([]float64(nil), init...)
+			RelaxFixedPoint(g, in.mask, w, dist, &h, make([]bool, g.N()))
+			// Exhaustive Bellman-Ford fixed point: same left-folded path
+			// sums, so the comparison is bit-exact.
+			want := append([]float64(nil), init...)
+			for changed := true; changed; {
+				changed = false
+				for v := 0; v < g.N(); v++ {
+					for _, a := range g.Adj(v) {
+						if in.mask != nil && !in.mask[a.ID] {
+							continue
+						}
+						if cand := want[v] + w[a.ID]; cand < want[a.To] {
+							want[a.To] = cand
+							changed = true
+						}
 					}
 				}
 			}
-		}
-		for v := 0; v < g.N(); v++ {
-			if dist[v] != want[v] {
-				t.Fatalf("trial %d vertex %d: heap Dijkstra %v, Bellman-Ford fixed point %v", trial, v, dist[v], want[v])
+			for v := 0; v < g.N(); v++ {
+				if dist[v] != want[v] {
+					t.Fatalf("trial %d, %s, vertex %d: RelaxFixedPoint %v, Bellman-Ford fixed point %v", trial, in.name, v, dist[v], want[v])
+				}
 			}
 		}
 	}

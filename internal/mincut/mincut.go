@@ -147,7 +147,7 @@ func packOneTree(g *graph.Graph, loads []float64, opts Options) (ids []int, stat
 			if err != nil {
 				return nil, nil, err
 			}
-			prov = mst.ObliviousProvider(h, t)
+			prov = pipeline.Oblivious(h, t)
 		}
 		rs, err := mst.ShortcutBoruvka(h, prov)
 		if err != nil {

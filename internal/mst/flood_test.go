@@ -32,7 +32,7 @@ func TestFloodProviderLedgerConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, simulate := range []bool{false, true} {
-		s, cost, err := mst.FloodProvider(g, tr, 2, simulate)(p)
+		s, cost, err := pipeline.Flood(g, tr, 2, simulate)(p)
 		if err != nil {
 			t.Fatalf("simulate=%v: %v", simulate, err)
 		}
@@ -48,7 +48,7 @@ func TestFloodProviderLedgerConsistency(t *testing.T) {
 				t.Fatalf("simulate=false: cost %+v, want charged=%d simulated=0", cost, congest.ConstructBudget(tr, 2))
 			}
 		}
-		rs, err := mst.ShortcutBoruvka(g, mst.FloodProvider(g, tr, 2, simulate))
+		rs, err := mst.ShortcutBoruvka(g, pipeline.Flood(g, tr, 2, simulate))
 		if err != nil {
 			t.Fatalf("simulate=%v: %v", simulate, err)
 		}
@@ -82,7 +82,7 @@ func TestFloodProviderExactMST(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := mst.ShortcutBoruvka(tc.g, mst.FloodProvider(tc.g, tr, 3, simulate))
+			rs, err := mst.ShortcutBoruvka(tc.g, pipeline.Flood(tc.g, tr, 3, simulate))
 			if err != nil {
 				t.Fatalf("%s simulate=%v: %v", tc.name, simulate, err)
 			}

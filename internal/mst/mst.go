@@ -41,24 +41,9 @@ type RunStats struct {
 	Messages      int
 }
 
-// Provider is the unified shortcut-provider type of the pipeline layer
-// (see package pipeline): it yields a shortcut for the current fragment
-// family plus the two-ledger round cost of obtaining it, which the Borůvka
-// loop books into CommRounds/ChargedRounds respectively.
-type Provider = pipeline.Provider
-
-// Provider constructors, re-exported from the pipeline layer for the many
-// callers that reach them through this package.
-var (
-	ObliviousProvider = pipeline.Oblivious
-	EmptyProvider     = pipeline.Empty
-	FloodProvider     = pipeline.Flood
-	AutoFloodProvider = pipeline.AutoFlood
-)
-
 // provide invokes the provider for a fragment family and books its
 // two-ledger cost into the run's matching fields.
-func provide(provider Provider, p *partition.Parts, stats *RunStats) (*shortcut.Shortcut, pipeline.Rounds, error) {
+func provide(provider pipeline.Provider, p *partition.Parts, stats *RunStats) (*shortcut.Shortcut, pipeline.Rounds, error) {
 	s, cost, err := provider(p)
 	if err != nil {
 		return nil, cost, fmt.Errorf("mst: shortcut provider: %w", err)
@@ -100,27 +85,10 @@ type Options struct {
 	Simulate bool
 }
 
-// aggregateMinSeq computes AggregateMin's fixed point sequentially: the
-// per-part minimum key over members. It is the oracle AggregateMin itself
-// validates against, so both modes converge to identical Mins.
-func aggregateMinSeq(parts *partition.Parts, keys []uint64) []uint64 {
-	mins := make([]uint64, parts.NumParts())
-	for i, set := range parts.Sets {
-		m := uint64(math.MaxUint64)
-		for _, v := range set {
-			if keys[v] < m {
-				m = keys[v]
-			}
-		}
-		mins[i] = m
-	}
-	return mins
-}
-
 // ShortcutBoruvka runs Borůvka's algorithm with fragment-wise aggregation
 // over shortcuts from the provider, simulating every aggregation on the
 // engine. See ShortcutBoruvkaOpts for the analytic-aggregation variant.
-func ShortcutBoruvka(g *graph.Graph, provider Provider) (*RunStats, error) {
+func ShortcutBoruvka(g *graph.Graph, provider pipeline.Provider) (*RunStats, error) {
 	return ShortcutBoruvkaOpts(g, provider, Options{Simulate: true})
 }
 
@@ -130,7 +98,7 @@ func ShortcutBoruvka(g *graph.Graph, provider Provider) (*RunStats, error) {
 // information flow between nodes is either simulated message passing
 // (aggregations, counted in CommRounds) or charged per the framework's
 // proven bounds (ChargedRounds), per opts.
-func ShortcutBoruvkaOpts(g *graph.Graph, provider Provider, opts Options) (*RunStats, error) {
+func ShortcutBoruvkaOpts(g *graph.Graph, provider pipeline.Provider, opts Options) (*RunStats, error) {
 	n := g.N()
 	if n == 0 {
 		return &RunStats{}, nil
@@ -196,7 +164,7 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider Provider, opts Options) (*RunS
 			stats.Messages += res.Stats.Messages
 			mins = res.Mins
 		} else {
-			mins = aggregateMinSeq(parts, keys)
+			mins = congest.PartMins(parts, keys)
 			stats.ChargedRounds += s.Measure().Quality
 		}
 		// Merge along each fragment's minimum outgoing edge.

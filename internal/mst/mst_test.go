@@ -47,7 +47,7 @@ func TestShortcutBoruvkaOblivious(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := mst.ShortcutBoruvka(tc.g, mst.ObliviousProvider(tc.g, tr))
+			rs, err := mst.ShortcutBoruvka(tc.g, pipeline.Oblivious(tc.g, tr))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestEmptyProviderBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.DistinctWeights(gen.UniformWeights(gen.Grid(5, 8).G, rng))
 	tr, _ := graph.BFSTree(g, 0)
-	rs, err := mst.ShortcutBoruvka(g, mst.EmptyProvider(g, tr))
+	rs, err := mst.ShortcutBoruvka(g, pipeline.Empty(g, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestShortcutsBeatNoShortcutsOnWheel(t *testing.T) {
 	}
 	gen.DistinctWeights(g)
 	tr, _ := graph.BFSTree(g, hub) // root at hub
-	withSc, err := mst.ShortcutBoruvka(g, mst.ObliviousProvider(g, tr))
+	withSc, err := mst.ShortcutBoruvka(g, pipeline.Oblivious(g, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := mst.ShortcutBoruvka(g, mst.EmptyProvider(g, tr))
+	without, err := mst.ShortcutBoruvka(g, pipeline.Empty(g, tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 			}
 		} else {
 			for i := 0; i < k; i++ {
-				if e.intraPhase(dist[i]) {
+				if e.relax(dist[i]) {
 					changed = true
 				}
 			}

@@ -15,8 +15,8 @@
 //     edge direction), and
 //  2. a part-wise relaxation: inside every part, improved distances flood
 //     along the part's induced edges plus its shortcut edges to the
-//     channel-graph fixed point (congest.RelaxPartwise, the SSSP analogue
-//     of the part-wise aggregation subproblem).
+//     channel-graph fixed point (congest.Relaxer, the SSSP analogue of
+//     the part-wise aggregation subproblem).
 //
 // Distances only ever decrease and every value is realized by an actual
 // path of the network, so the fixed point of the phase iteration is the
@@ -106,36 +106,11 @@ type Result struct {
 	Messages      int
 	// Quality is the measured shortcut quality (the per-phase charge basis).
 	Quality int
-	// ConstructRounds is the in-network shortcut construction's round cost
-	// when the run built its own shortcut (ApproxConstructed); the rounds
-	// are already folded into CommRounds or ChargedRounds per the run's
-	// mode. Zero when the shortcut was supplied by the caller.
+	// ConstructRounds is the shortcut provider's round cost when the run
+	// obtained its own shortcut (ApproxProvided); the rounds are already
+	// folded into CommRounds or ChargedRounds per the provider's ledgers.
+	// Zero when the shortcut was supplied by the caller.
 	ConstructRounds int
-}
-
-// ApproxConstructed is Approx over a shortcut the network builds itself:
-// the flooding construction (congest.ConstructShortcut) at congestion cap
-// runs first — simulated or analytic per opts.Simulate — and its round cost
-// lands in the matching ledger, so the result prices the full pipeline
-// rather than assuming a shortcut fell from the sky.
-func ApproxConstructed(g *graph.Graph, src int, t *graph.Tree, p *partition.Parts, cap int, opts Options) (*Result, error) {
-	cres, err := congest.ConstructShortcut(g, t, p, congest.ConstructOptions{Cap: cap, Simulate: opts.Simulate})
-	if err != nil {
-		return nil, fmt.Errorf("sssp: shortcut construction: %w", err)
-	}
-	r, err := Approx(g, src, p, cres.S, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Simulate {
-		r.ConstructRounds = cres.EffectiveRounds
-		r.CommRounds += cres.EffectiveRounds
-		r.Messages += cres.Stats.Messages
-	} else {
-		r.ConstructRounds = cres.ChargedRounds
-		r.ChargedRounds += cres.ChargedRounds
-	}
-	return r, nil
 }
 
 // ApproxProvided is Approx over the unified provider layer: the shortcut
@@ -211,7 +186,7 @@ func Approx(g *graph.Graph, src int, p *partition.Parts, s *shortcut.Shortcut, o
 			res.CommRounds += 1 + r.EffectiveRounds
 			res.Messages += 2*g.M() + r.Stats.Messages
 		} else {
-			changedIntra = e.intraPhase(dist)
+			changedIntra = e.relax(dist)
 			res.ChargedRounds += 1 + charge
 		}
 		res.Phases++
@@ -232,38 +207,22 @@ func Approx(g *graph.Graph, src int, p *partition.Parts, s *shortcut.Shortcut, o
 // parameters — one vector per source — so ApproxBatch drives the same
 // engine over k vectors without k copies of the scratch.
 type engine struct {
-	g         *graph.Graph
-	rounded   []float64
-	onChannel []bool // per edge: carries at least one (part, edge) channel
-	next      []float64
-	heap      graph.MinDistHeap // scratch for the intra-phase potential Dijkstra
-	done      []bool
+	g       *graph.Graph
+	rounded []float64
+	mask    []bool // congest.ChannelMask: the edges part-wise relaxation uses
+	next    []float64
+	heap    graph.MinDistHeap // scratch for graph.RelaxFixedPoint
+	done    []bool
 }
 
 func newEngine(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, rounded []float64) *engine {
-	n := g.N()
-	e := &engine{
-		g:         g,
-		rounded:   rounded,
-		onChannel: make([]bool, g.M()),
-		next:      make([]float64, n),
-		done:      make([]bool, n),
+	return &engine{
+		g:       g,
+		rounded: rounded,
+		mask:    congest.ChannelMask(g, p, s),
+		next:    make([]float64, g.N()),
+		done:    make([]bool, g.N()),
 	}
-	for id := 0; id < g.M(); id++ {
-		if g.EdgeRemoved(id) {
-			continue
-		}
-		ed := g.Edge(id)
-		if pi := p.Of[ed.U]; pi != -1 && pi == p.Of[ed.V] {
-			e.onChannel[id] = true
-		}
-	}
-	for _, ids := range s.Edges {
-		for _, id := range ids {
-			e.onChannel[id] = true
-		}
-	}
-	return e
 }
 
 // crossPhase performs one synchronous (Jacobi) relaxation round over every
@@ -295,38 +254,11 @@ func (e *engine) crossPhase(dist []float64) bool {
 	return changed
 }
 
-// intraPhase relaxes to the part-wise fixed point sequentially: a
-// potential-initialized Dijkstra over the channel edges, updating dist in
-// place. This is the analytic-mode stand-in for congest.RelaxPartwise and
-// computes the identical fixed point.
-func (e *engine) intraPhase(dist []float64) bool {
-	g := e.g
-	e.heap.Reset(dist)
-	for v := range dist {
-		e.done[v] = false
-		if !math.IsInf(dist[v], 1) {
-			e.heap.Push(v)
-		}
-	}
-	changed := false
-	for e.heap.Len() > 0 {
-		v := e.heap.Pop()
-		if e.done[v] {
-			continue
-		}
-		e.done[v] = true
-		for _, a := range g.Adj(v) {
-			if !e.onChannel[a.ID] {
-				continue
-			}
-			if cand := dist[v] + e.rounded[a.ID]; cand < dist[a.To] {
-				dist[a.To] = cand
-				changed = true
-				e.heap.Push(a.To)
-			}
-		}
-	}
-	return changed
+// relax relaxes dist in place to the part-wise fixed point sequentially
+// (graph.RelaxFixedPoint over the channel mask): the analytic-mode stand-in
+// for congest.Relaxer.Relax, computing the identical fixed point.
+func (e *engine) relax(dist []float64) bool {
+	return graph.RelaxFixedPoint(e.g, e.mask, e.rounded, dist, &e.heap, e.done)
 }
 
 // RoundWeights returns the per-edge weights rounded up to the next power
@@ -364,24 +296,14 @@ func RoundWeights(g *graph.Graph, eps float64) ([]float64, error) {
 	return out, nil
 }
 
-// NaiveRounds returns the number of synchronous rounds the naive
+// NaiveRoundsFrom returns the number of synchronous rounds the naive
 // distributed SSSP baseline — plain Bellman–Ford, every node announcing
-// improvements to all neighbors — needs from src: the largest settle
+// improvements to all neighbors — needs from r.Source: the largest settle
 // round over all vertices (graph.Dijkstra's Hops) plus one final quiet
 // round. On hop-heavy families (rim paths under expensive spokes) this
-// grows linearly with n even when the diameter is constant.
-func NaiveRounds(g *graph.Graph, src int) (int, error) {
-	r, err := graph.Dijkstra(g, src)
-	if err != nil {
-		return 0, err
-	}
-	return NaiveRoundsFrom(r), nil
-}
-
-// NaiveRoundsFrom derives the naive baseline's round count from an
-// already-computed oracle result, for callers that also need the exact
-// distances (e.g. the E9 stretch column) and should not pay a second
-// Dijkstra.
+// grows linearly with n even when the diameter is constant. It takes the
+// oracle result so callers that also need the exact distances (e.g. the
+// E9 stretch column) pay one Dijkstra.
 func NaiveRoundsFrom(r *graph.SPResult) int {
 	maxHops := 0
 	for _, h := range r.Hops {

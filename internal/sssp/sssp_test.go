@@ -190,11 +190,11 @@ func TestPhaseHotPathAllocs(t *testing.T) {
 	dist[0] = 0
 	for i := 0; i < 3; i++ { // warm: run phases to convergence
 		e.crossPhase(dist)
-		e.intraPhase(dist)
+		e.relax(dist)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		e.crossPhase(dist)
-		e.intraPhase(dist)
+		e.relax(dist)
 	})
 	if allocs != 0 {
 		t.Fatalf("phase hot path allocates %v times per phase", allocs)
@@ -230,12 +230,12 @@ func TestRoundWeightsBounds(t *testing.T) {
 
 func TestNaiveRoundsOnPath(t *testing.T) {
 	g := gen.Path(10)
-	rounds, err := NaiveRounds(g, 0)
+	r, err := graph.Dijkstra(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != 10 { // 9 hops to the far end + the final quiet broadcast
-		t.Fatalf("NaiveRounds = %d, want 10", rounds)
+	if rounds := NaiveRoundsFrom(r); rounds != 10 { // 9 hops to the far end + the final quiet broadcast
+		t.Fatalf("NaiveRoundsFrom = %d, want 10", rounds)
 	}
 }
 

@@ -428,7 +428,7 @@ func (nw *Network) MST() (*MSTResult, error) {
 // MSTBaseline runs the same algorithm without any shortcuts (naive
 // fragment-internal flooding).
 func (nw *Network) MSTBaseline() (*MSTResult, error) {
-	return mst.ShortcutBoruvka(nw.G, mst.EmptyProvider(nw.G, nw.Tree))
+	return mst.ShortcutBoruvka(nw.G, pipeline.Empty(nw.G, nw.Tree))
 }
 
 // MSTPipelined runs the O(D+√n)-style two-phase baseline.
