@@ -38,14 +38,18 @@ perfbench-check:
 # determinism builds allbench once and fails unless every registry table
 # prints byte-identically at the default GOMAXPROCS and at GOMAXPROCS=1 —
 # the engine's headline guarantee (a diff is a map-iteration order or
-# scheduler race, never noise).
+# scheduler race, never noise) — and identically to the committed golden
+# tables in testdata/allbench.golden. A change that moves a table on
+# purpose regenerates the golden file (go run ./cmd/allbench >
+# testdata/allbench.golden) and says why.
 determinism:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/allbench" ./cmd/allbench && \
 	"$$dir/allbench" > "$$dir/default.txt" && \
 	GOMAXPROCS=1 "$$dir/allbench" > "$$dir/one.txt" && \
 	diff "$$dir/default.txt" "$$dir/one.txt" && \
-	echo "determinism: allbench identical at GOMAXPROCS=default and 1"
+	diff testdata/allbench.golden "$$dir/default.txt" && \
+	echo "determinism: allbench identical at GOMAXPROCS=default and 1, and to testdata/allbench.golden"
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .

@@ -34,12 +34,7 @@ func inducedPart(g *graph.Graph, p *partition.Parts, id int) int {
 func ChannelMask(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) []bool {
 	mask := make([]bool, g.M())
 	for id := range mask {
-		mask[id] = inducedPart(g, p, id) != -1
-	}
-	for _, ids := range s.Edges {
-		for _, id := range ids {
-			mask[id] = true
-		}
+		mask[id] = inducedPart(g, p, id) != -1 || len(s.EdgeParts(id)) > 0
 	}
 	return mask
 }
@@ -59,57 +54,35 @@ type channels struct {
 	part    []int32
 }
 
-// newChannels builds the channel view of (g, p, s).
+// newChannels builds the channel view of (g, p, s): each port copies its
+// edge's induced part and the shortcut's per-edge part list.
 func newChannels(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *channels {
-	// Per-edge part lists in CSR layout: a counting pass, then a fill.
-	m := g.M()
-	edgeOff := make([]int32, m+1)
-	for id := 0; id < m; id++ {
-		if inducedPart(g, p, id) != -1 {
-			edgeOff[id+1]++
-		}
-	}
-	for pi, ids := range s.Edges {
-		for _, id := range ids {
-			if inducedPart(g, p, id) != pi {
-				edgeOff[id+1]++
-			}
-		}
-	}
-	for id := 0; id < m; id++ {
-		edgeOff[id+1] += edgeOff[id]
-	}
-	edgeParts := make([]int32, edgeOff[m])
-	fill := append([]int32(nil), edgeOff[:m]...)
-	for id := 0; id < m; id++ {
-		if pi := inducedPart(g, p, id); pi != -1 {
-			edgeParts[fill[id]] = int32(pi)
-			fill[id]++
-		}
-	}
-	for pi, ids := range s.Edges {
-		for _, id := range ids {
-			if inducedPart(g, p, id) != pi {
-				edgeParts[fill[id]] = int32(pi)
-				fill[id]++
-			}
-		}
-	}
-	// The per-node slab: each port copies its edge's list.
 	n := g.N()
 	c := &channels{
-		carries: ChannelMask(g, p, s),
+		carries: make([]bool, g.M()),
 		portOff: make([]int32, n+1),
-		part:    make([]int32, 0, 2*len(edgeParts)),
 	}
 	for v := 0; v < n; v++ {
 		c.portOff[v+1] = c.portOff[v] + int32(g.Degree(v))
 	}
 	c.chOff = make([]int32, 1, c.portOff[n]+1)
+	c.part = make([]int32, 0, c.portOff[n])
 	for v := 0; v < n; v++ {
 		for _, a := range g.Adj(v) {
-			c.part = append(c.part, edgeParts[edgeOff[a.ID]:edgeOff[a.ID+1]]...)
+			lo := len(c.part)
+			ip := int32(inducedPart(g, p, a.ID))
+			if ip != -1 {
+				c.part = append(c.part, ip)
+			}
+			for _, pi := range s.EdgeParts(a.ID) {
+				if pi != ip {
+					c.part = append(c.part, pi)
+				}
+			}
 			c.chOff = append(c.chOff, int32(len(c.part)))
+			if len(c.part) > lo {
+				c.carries[a.ID] = true
+			}
 		}
 	}
 	return c

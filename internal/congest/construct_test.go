@@ -2,6 +2,7 @@ package congest_test
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -73,15 +74,8 @@ func TestConstructShortcutMatchesFixedPoint(t *testing.T) {
 				t.Fatalf("%s cap %d: %v", tc.name, cap, err)
 			}
 			want := shortcut.Construct(tc.g, tc.tr, tc.p, cap)
-			for i := range want.Edges {
-				if len(res.S.Edges[i]) != len(want.Edges[i]) {
-					t.Fatalf("%s cap %d part %d: %v != fixed point %v", tc.name, cap, i, res.S.Edges[i], want.Edges[i])
-				}
-				for j := range want.Edges[i] {
-					if res.S.Edges[i][j] != want.Edges[i][j] {
-						t.Fatalf("%s cap %d part %d: %v != fixed point %v", tc.name, cap, i, res.S.Edges[i], want.Edges[i])
-					}
-				}
+			if got, want := res.S.PartEdges(), want.PartEdges(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s cap %d: %v != fixed point %v", tc.name, cap, got, want)
 			}
 			if m := res.S.Measure(); m.Congestion > cap {
 				t.Fatalf("%s cap %d: congestion %d exceeds cap", tc.name, cap, m.Congestion)
@@ -211,15 +205,8 @@ func TestConstructShortcutDeterministic(t *testing.T) {
 	if a.Stats != b.Stats {
 		t.Fatalf("stats differ across GOMAXPROCS: %+v vs %+v", a.Stats, b.Stats)
 	}
-	for i := range a.S.Edges {
-		if len(a.S.Edges[i]) != len(b.S.Edges[i]) {
-			t.Fatalf("part %d edges differ: %v vs %v", i, a.S.Edges[i], b.S.Edges[i])
-		}
-		for j := range a.S.Edges[i] {
-			if a.S.Edges[i][j] != b.S.Edges[i][j] {
-				t.Fatalf("part %d edges differ: %v vs %v", i, a.S.Edges[i], b.S.Edges[i])
-			}
-		}
+	if got, want := a.S.PartEdges(), b.S.PartEdges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("edges differ across GOMAXPROCS: %v vs %v", got, want)
 	}
 }
 

@@ -72,7 +72,7 @@ func refChannelRelax(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, w
 			onChannel[id] = true
 		}
 	}
-	for _, ids := range s.Edges {
+	for _, ids := range s.PartEdges() {
 		for _, id := range ids {
 			onChannel[id] = true
 		}

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -291,34 +292,22 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 // from the converged fixed point, so both modes agree on it.
 func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *shortcut.Shortcut, simulate bool, adv *Adversary, res *SearchResult) (int, error) {
 	m := s.Measure()
-	maxEcc := 0
-	for i := 0; i < p.NumParts(); i++ {
-		ecc, err := s.AugmentedEcc(i)
-		if err != nil {
-			return 0, err
-		}
-		if ecc > maxEcc {
-			maxEcc = ecc
-		}
+	eccs, err := s.AugmentedEccs()
+	if err != nil {
+		return 0, err
 	}
+	maxEcc := slices.Max(eccs)
 	est := m.MaxBlocks*maxEcc + m.Congestion
 	if simulate {
 		// Per-vertex admitted counts: how many parts use v's parent edge —
 		// exactly the |sent| each node's protocol state holds when the
 		// construction converges.
 		counts := make([]uint64, g.N())
-		use := g.AcquireScratch()
-		for _, ids := range s.Edges {
-			for _, id := range ids {
-				use.Add(id, 1)
-			}
-		}
 		for v := 0; v < g.N(); v++ {
 			if id := t.ParentEdge[v]; id != -1 {
-				counts[v] = uint64(use.GetOr(id, 0))
+				counts[v] = uint64(len(s.EdgeParts(id)))
 			}
 		}
-		g.ReleaseScratch(use)
 		rootMax, mstats, err := treeCombine(t, counts, CombineMax, adv)
 		if err != nil {
 			return 0, err

@@ -2,6 +2,7 @@ package congest_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/congest"
@@ -29,15 +30,8 @@ func TestSearchCapModesAgree(t *testing.T) {
 			t.Fatalf("%s: modes disagree: simulate (cap %d est %d guesses %d) vs analytic (cap %d est %d guesses %d)",
 				tc.name, sim.Cap, sim.Estimate, sim.Guesses, ana.Cap, ana.Estimate, ana.Guesses)
 		}
-		for i := range sim.S.Edges {
-			if len(sim.S.Edges[i]) != len(ana.S.Edges[i]) {
-				t.Fatalf("%s part %d: edge sets differ between modes", tc.name, i)
-			}
-			for j := range sim.S.Edges[i] {
-				if sim.S.Edges[i][j] != ana.S.Edges[i][j] {
-					t.Fatalf("%s part %d: edge sets differ between modes", tc.name, i)
-				}
-			}
+		if got, want := sim.S.PartEdges(), ana.S.PartEdges(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: edge sets differ between modes: %v vs %v", tc.name, got, want)
 		}
 		if sim.EffectiveRounds <= 0 || sim.ChargedRounds != 0 {
 			t.Fatalf("%s simulate: ledgers %d/%d not exclusively simulated", tc.name, sim.EffectiveRounds, sim.ChargedRounds)

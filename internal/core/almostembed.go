@@ -29,7 +29,7 @@ import (
 //     Lemma 2's vortex extension for components holding internal vortex
 //     nodes, a restricted base decomposition for positive-genus bases).
 func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, a *structure.AlmostEmbeddable) (*Result, error) {
-	s := shortcut.Empty(g, t, p)
+	edges := make([][]int, p.NumParts())
 	info := map[string]int{}
 
 	// Apex-containing parts get the entire tree.
@@ -41,7 +41,9 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 			apexParts = append(apexParts, i)
 		}
 	}
-	shortcut.WholeTree(s, apexParts)
+	for _, i := range apexParts {
+		edges[i] = t.TreeEdgeIDs()
+	}
 	info["apexParts"] = len(apexParts)
 
 	cells := BuildCells(g, t, a.Apices, a.VortexOf)
@@ -76,7 +78,7 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 	}
 	for i := range assigned {
 		for _, ci := range assigned[i] {
-			s.Edges[i] = append(s.Edges[i], cellTreeEdges[ci]...)
+			edges[i] = append(edges[i], cellTreeEdges[ci]...)
 		}
 	}
 
@@ -84,7 +86,7 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 	comps := treeComponents(g, t, cells)
 	maxLocalWidth := 0
 	for _, comp := range comps {
-		width, err := localCellShortcut(g, t, p, a, s, comp, apexPart)
+		width, err := localCellShortcut(g, t, p, a, edges, comp, apexPart)
 		if err != nil {
 			return nil, fmt.Errorf("core: local cell shortcut: %w", err)
 		}
@@ -95,7 +97,7 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 	info["maxLocalWidth"] = maxLocalWidth
 
 	// Re-normalize (dedupe/sort) through the constructor.
-	ns, err := shortcut.NewNormalized(g, t, p, s.Edges)
+	ns, err := shortcut.NewNormalized(g, t, p, edges)
 	if err != nil {
 		return nil, fmt.Errorf("core: assembling almost-embeddable shortcut: %w", err)
 	}
@@ -131,8 +133,8 @@ func treeComponents(g *graph.Graph, t *graph.Tree, cells *CellPartition) [][]int
 // localCellShortcut builds Lemma 9/10-style local shortcuts inside one tree
 // component: clip parts, build a diameter-based decomposition, run the
 // treewidth construction restricted to the component's tree, and merge the
-// assignment back into s. Returns the folded width used (diagnostic).
-func localCellShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, a *structure.AlmostEmbeddable, s *shortcut.Shortcut, comp []int, apexPart []bool) (int, error) {
+// assignment back into edges. Returns the folded width used (diagnostic).
+func localCellShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, a *structure.AlmostEmbeddable, edges [][]int, comp []int, apexPart []bool) (int, error) {
 	if len(comp) < 2 {
 		return 0, nil
 	}
@@ -220,10 +222,10 @@ func localCellShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, a *str
 	if err != nil {
 		return 0, err
 	}
-	for si, ids := range res.S.Edges {
+	for si, ids := range res.S.PartEdges() {
 		i := origin[si]
 		for _, leid := range ids {
-			s.Edges[i] = append(s.Edges[i], globalOfLocalEdge[leid])
+			edges[i] = append(edges[i], globalOfLocalEdge[leid])
 		}
 	}
 	return res.FoldedWidth, nil

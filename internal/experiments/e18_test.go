@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -162,17 +163,8 @@ func TestE18FaultedPipelineFixedPoint(t *testing.T) {
 			if fsearch.Cap != search.Cap {
 				t.Fatalf("faulted cap %d, fault-free %d", fsearch.Cap, search.Cap)
 			}
-			for i := range search.S.Edges {
-				if len(fsearch.S.Edges[i]) != len(search.S.Edges[i]) {
-					t.Fatalf("part %d: faulted shortcut %v, fault-free %v",
-						i, fsearch.S.Edges[i], search.S.Edges[i])
-				}
-				for j := range search.S.Edges[i] {
-					if fsearch.S.Edges[i][j] != search.S.Edges[i][j] {
-						t.Fatalf("part %d: faulted shortcut %v, fault-free %v",
-							i, fsearch.S.Edges[i], search.S.Edges[i])
-					}
-				}
+			if got, want := fsearch.S.PartEdges(), search.S.PartEdges(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("faulted shortcut %v, fault-free %v", got, want)
 			}
 			// The adversary's timeline keeps advancing across the pipeline,
 			// so the fault horizon may be spent by the time the search runs

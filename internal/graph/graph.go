@@ -1,6 +1,6 @@
 // Package graph provides the core graph substrate used by the entire
 // repository: weighted undirected multigraphs with stable edge identifiers,
-// traversals, rooted spanning trees, LCA and heavy-light machinery,
+// traversals, rooted spanning trees and LCA queries,
 // union-find, sequential MST and min-cut reference algorithms, and minor
 // operations (contraction, deletion, reductions).
 //

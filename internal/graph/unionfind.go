@@ -21,23 +21,6 @@ func NewUnionFind(n int) *UnionFind {
 	return u
 }
 
-// Reset reinitializes u to n singleton sets in place, reusing the existing
-// storage when large enough. Hot loops (shortcut block counting) call this
-// instead of allocating a fresh forest per part.
-func (u *UnionFind) Reset(n int) {
-	if cap(u.parent) < n {
-		u.parent = make([]int, n)
-		u.rank = make([]int8, n)
-	}
-	u.parent = u.parent[:n]
-	u.rank = u.rank[:n]
-	for i := range u.parent {
-		u.parent[i] = i
-		u.rank[i] = 0
-	}
-	u.count = n
-}
-
 // Find returns the canonical representative of x's set.
 func (u *UnionFind) Find(x int) int {
 	for u.parent[x] != x {

@@ -117,11 +117,15 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider pipeline.Provider, opts Option
 	// over. The network keeps it, so the provider runs once per fragment
 	// family, not twice (a second invocation would both recompute and
 	// double-charge the construction).
+	// In analytic mode the carried shortcut's quality, booked at
+	// dissemination, is booked again by the next phase's aggregation
+	// instead of being measured twice (-1: not measured yet).
 	var carriedParts *partition.Parts
 	var carriedShortcut *shortcut.Shortcut
+	carriedQuality := -1
 	for phase := 0; uf.Count() > 1 && phase < maxPhases; phase++ {
-		parts, s := carriedParts, carriedShortcut
-		carriedParts, carriedShortcut = nil, nil
+		parts, s, quality := carriedParts, carriedShortcut, carriedQuality
+		carriedParts, carriedShortcut, carriedQuality = nil, nil, -1
 		if parts == nil {
 			var err error
 			parts, err = partition.New(g, uf.Sets())
@@ -165,7 +169,10 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider pipeline.Provider, opts Option
 			mins = res.Mins
 		} else {
 			mins = congest.PartMins(parts, keys)
-			stats.ChargedRounds += s.Measure().Quality
+			if quality == -1 {
+				quality = s.Measure().Quality
+			}
+			stats.ChargedRounds += quality
 		}
 		// Merge along each fragment's minimum outgoing edge.
 		merged := false
@@ -216,7 +223,8 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider pipeline.Provider, opts Option
 				// minimum member ID) is determined by the partition the
 				// environment already holds; charge one aggregation at the
 				// new shortcut's quality.
-				stats.ChargedRounds += ns.Measure().Quality
+				carriedQuality = ns.Measure().Quality
+				stats.ChargedRounds += carriedQuality
 			}
 			carriedParts, carriedShortcut = newParts, ns
 		}

@@ -249,4 +249,45 @@ func TestBoruvkaTraceConsistency(t *testing.T) {
 			}
 		}
 	}
+	// Run to completion, Borůvka halves the fragment count per phase, so it
+	// finishes within ⌈log₂ n⌉+1 phases, and the chosen edges are exactly
+	// Kruskal's tree under the same canonical order.
+	for trial := 0; trial < 25; trial++ {
+		n := 2 + rng.Intn(80)
+		g := gen.UniformWeights(gen.ErdosRenyiConnected(n, n-1+rng.Intn(2*n), rng), rng)
+		trace, p, err := partition.BoruvkaTrace(g, g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.NumParts() != 1 {
+			t.Fatalf("n=%d: %d fragments after running to completion", n, p.NumParts())
+		}
+		lg := 0
+		for 1<<lg < n {
+			lg++
+		}
+		if len(trace) > lg+1 {
+			t.Fatalf("n=%d: %d phases exceeds log bound %d", n, len(trace), lg+1)
+		}
+		chosen := make([]bool, g.M())
+		for _, ph := range trace {
+			for _, id := range ph.Best {
+				if id != -1 {
+					chosen[id] = true
+				}
+			}
+		}
+		kIDs, _ := graph.Kruskal(g)
+		for _, id := range kIDs {
+			if !chosen[id] {
+				t.Fatalf("n=%d: Kruskal edge %d not chosen by the trace", n, id)
+			}
+			chosen[id] = false
+		}
+		for id, c := range chosen {
+			if c {
+				t.Fatalf("n=%d: trace chose non-MST edge %d", n, id)
+			}
+		}
+	}
 }

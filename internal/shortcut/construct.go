@@ -146,63 +146,36 @@ func ValidPriorities(prio []int32, numParts int) error {
 // and must be a permutation of 0..NumParts-1. Both the sequential
 // constructor and the distributed protocol's converged state assemble
 // through here, so the two paths cannot diverge.
+//
+// The state is already the shortcut's per-edge layout: each vertex's ranks
+// map to parts and its (at most cap) list is sorted. The lists are
+// duplicate-free by construction and every ID names a tree edge, so New's
+// validation is redundant here.
 func FromFloodState(g *graph.Graph, t *graph.Tree, p *partition.Parts, admitted [][]int32, prio []int32) (*Shortcut, error) {
 	if err := ValidPriorities(prio, p.NumParts()); err != nil {
 		return nil, err
 	}
-	if t.G != g {
-		return nil, fmt.Errorf("shortcut: tree belongs to a different graph")
-	}
-	if p.G != g {
-		return nil, fmt.Errorf("shortcut: parts belong to a different graph")
-	}
-	for i, set := range p.Sets {
-		if len(set) == 0 {
-			return nil, fmt.Errorf("shortcut: part %d is empty", i)
-		}
+	if err := checkOwners(g, t, p); err != nil {
+		return nil, err
 	}
 	inv := invertPriorities(p.NumParts(), prio)
-	np := p.NumParts()
-	// The total assignment size Σᵥ|admitted(v)| reaches Θ(n·cap) at scale, so
-	// the per-part lists are carved out of one counted slab instead of grown
-	// with append — a counting pass, a prefix sum, and a fill pass, the same
-	// shape as the CSR arc assembly. The lists are duplicate-free by
-	// construction (admitted ranks are distinct per vertex, and distinct
-	// vertices have distinct parent edges) and every ID is a tree edge by
-	// definition, so New's sortedDedup copy and tree-membership sweep are
-	// redundant here; each region is sorted in place and the Shortcut built
-	// directly.
-	off := make([]int, np+1)
-	for v := 0; v < g.N(); v++ {
-		if t.ParentEdge[v] == -1 {
-			continue
-		}
-		for _, r := range admitted[v] {
-			off[inv[r]+1]++
+	n := g.N()
+	s := &Shortcut{G: g, T: t, P: p, off: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		s.off[v+1] = s.off[v]
+		if t.ParentEdge[v] != -1 {
+			s.off[v+1] += int32(len(admitted[v]))
 		}
 	}
-	for i := 0; i < np; i++ {
-		off[i+1] += off[i]
-	}
-	slab := make([]int, off[np])
-	cur := make([]int, np)
-	copy(cur, off[:np])
-	for v := 0; v < g.N(); v++ {
-		id := t.ParentEdge[v]
-		if id == -1 {
-			continue
+	s.parts = make([]int32, s.off[n])
+	for v := 0; v < n; v++ {
+		list := s.at(v)
+		for k := range list {
+			list[k] = inv[admitted[v][k]]
 		}
-		for _, r := range admitted[v] {
-			i := inv[r]
-			slab[cur[i]] = id
-			cur[i]++
+		if len(list) > 1 {
+			slices.Sort(list)
 		}
-	}
-	s := &Shortcut{G: g, T: t, P: p, Edges: make([][]int, np)}
-	for i := 0; i < np; i++ {
-		region := slab[off[i]:off[i+1]:off[i+1]]
-		sort.Ints(region)
-		s.Edges[i] = region
 	}
 	return s, nil
 }
@@ -253,29 +226,9 @@ func FloodFixedPoint(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int,
 		if t.ParentEdge[v] == -1 {
 			continue // root: no parent edge to admit onto
 		}
-		present = present[:0]
-		seen.Reset()
-		if pi := p.Of[v]; pi != -1 {
-			r := int32(pi)
-			if prio != nil {
-				r = prio[pi]
-			}
-			seen.Visit(int(r))
-			present = append(present, r)
-		}
-		for _, c := range t.Children[v] {
-			for _, r := range admitted[c] {
-				if seen.Visit(int(r)) {
-					present = append(present, r)
-				}
-			}
-		}
+		present = admit(t, p, v, cap, prio, admitted, seen, present)
 		if len(present) == 0 {
 			continue
-		}
-		slices.Sort(present)
-		if len(present) > cap {
-			present = present[:cap]
 		}
 		if len(present) > arenaFree {
 			size := 1 << 15
@@ -291,6 +244,37 @@ func FloodFixedPoint(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int,
 		admitted[v] = arena[start:len(arena):len(arena)]
 	}
 	return admitted
+}
+
+// admit evaluates the flooding rule at v: the (up to) cap lowest ranks of
+// {rank of v's part} ∪ ⋃ admitted(c) over v's children c, sorted. It
+// returns the list in present's backing array (reused scratch), and seen is
+// a rank-indexed scratch arena it resets.
+func admit(t *graph.Tree, p *partition.Parts, v, cap int, prio []int32, admitted [][]int32, seen *graph.Scratch, present []int32) []int32 {
+	present = present[:0]
+	seen.Reset()
+	if pi := p.Of[v]; pi != -1 {
+		r := int32(pi)
+		if prio != nil {
+			r = prio[pi]
+		}
+		seen.Visit(int(r))
+		present = append(present, r)
+	}
+	for _, c := range t.Children[v] {
+		for _, r := range admitted[c] {
+			if seen.Visit(int(r)) {
+				present = append(present, r)
+			}
+		}
+	}
+	if len(present) > 1 {
+		slices.Sort(present)
+	}
+	if len(present) > cap {
+		present = present[:cap]
+	}
+	return present
 }
 
 // AutoResult reports a congestion-cap auto-search.

@@ -54,19 +54,19 @@ func TestConstructFixedPointSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// cap 3: every part climbs its whole arm.
-	s3 := shortcut.Construct(g, tr, p, 3)
+	s3 := shortcut.Construct(g, tr, p, 3).PartEdges()
 	wantAll := [][]int{{e01, e14}, {e02, e25}, {e03, e36}}
 	for i, want := range wantAll {
-		if len(s3.Edges[i]) != len(want) {
-			t.Fatalf("cap 3 part %d: edges %v want %v", i, s3.Edges[i], want)
+		if len(s3[i]) != len(want) {
+			t.Fatalf("cap 3 part %d: edges %v want %v", i, s3[i], want)
 		}
 	}
 	// cap 1: arms are private (one part each), so each part still claims
 	// both its arm edges — the cap binds per edge, not per node.
-	s1 := shortcut.Construct(g, tr, p, 1)
+	s1 := shortcut.Construct(g, tr, p, 1).PartEdges()
 	for i, want := range wantAll {
-		if len(s1.Edges[i]) != len(want) {
-			t.Fatalf("cap 1 part %d: edges %v want %v", i, s1.Edges[i], want)
+		if len(s1[i]) != len(want) {
+			t.Fatalf("cap 1 part %d: edges %v want %v", i, s1[i], want)
 		}
 	}
 	// Now merge the arms: a path 0-1-2 with parts at 3,4,5 all hanging off 2.
@@ -84,16 +84,16 @@ func TestConstructFixedPointSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := shortcut.Construct(h, htr, hp, 1)
+	hs := shortcut.Construct(h, htr, hp, 1).PartEdges()
 	// All three reach vertex 2 over their private leaf edges; above 2 only
 	// part 0 (lowest ID) is admitted, the rest are evicted.
-	if got := hs.Edges[0]; len(got) != 3 || got[0] != h01 || got[1] != h12 || got[2] != h23 {
+	if got := hs[0]; len(got) != 3 || got[0] != h01 || got[1] != h12 || got[2] != h23 {
 		t.Fatalf("cap 1 priority part: edges %v want [%d %d %d]", got, h01, h12, h23)
 	}
-	if got := hs.Edges[1]; len(got) != 1 || got[0] != h24 {
+	if got := hs[1]; len(got) != 1 || got[0] != h24 {
 		t.Fatalf("evicted part 1: edges %v want [%d]", got, h24)
 	}
-	if got := hs.Edges[2]; len(got) != 1 || got[0] != h25 {
+	if got := hs[2]; len(got) != 1 || got[0] != h25 {
 		t.Fatalf("evicted part 2: edges %v want [%d]", got, h25)
 	}
 }
@@ -197,9 +197,10 @@ func TestConstructAutoGuessCount(t *testing.T) {
 
 // TestBlockTopsSumToBlockCounts: the per-vertex locally decidable top
 // indicators decompose the block parameter exactly — per part, the number
-// of vertices topping a block equals BlockCounts — across flooding
-// constructions at several caps and the oblivious construction. This is
-// the invariant the cap search's pipelined block-count convergecast
+// of vertices topping a block equals Measure's block count — across
+// flooding constructions at several caps, the oblivious construction, and
+// random assignments whose H-components need not touch their part. This
+// is the invariant the cap search's pipelined block-count convergecast
 // streams to the root.
 func TestBlockTopsSumToBlockCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -215,7 +216,7 @@ func TestBlockTopsSumToBlockCounts(t *testing.T) {
 		}
 		check := func(name string, s *shortcut.Shortcut) {
 			t.Helper()
-			counts := s.BlockCounts()
+			counts := s.Measure().Blocks
 			sums := make([]int, p.NumParts())
 			for v, tops := range s.BlockTops() {
 				for i := 1; i < len(tops); i++ {
@@ -229,7 +230,7 @@ func TestBlockTopsSumToBlockCounts(t *testing.T) {
 			}
 			for i := range counts {
 				if sums[i] != counts[i] {
-					t.Fatalf("%s part %d: %d tops, BlockCounts has %d", name, i, sums[i], counts[i])
+					t.Fatalf("%s part %d: %d tops, Measure has %d blocks", name, i, sums[i], counts[i])
 				}
 			}
 		}
@@ -239,5 +240,6 @@ func TestBlockTopsSumToBlockCounts(t *testing.T) {
 		s, _ := shortcut.ObliviousAuto(g, tr, p)
 		check("oblivious", s)
 		check("empty", shortcut.Empty(g, tr, p))
+		check("random", randomAssignment(t, g, tr, p, int64(trial)))
 	}
 }

@@ -1,9 +1,6 @@
 package shortcut
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 // decodeIDs turns fuzz bytes into a small int slice (values 0..31, so
 // collisions — the interesting case — are common).
@@ -64,65 +61,6 @@ func FuzzSortedDedup(f *testing.F) {
 			out[0] = -99
 			if in[0] == -99 {
 				t.Fatal("output aliases input")
-			}
-			out[0] = save
-		}
-	})
-}
-
-// FuzzMergeSorted checks the union-merge invariants: output sorted and
-// duplicate-free, equal to the set union, inputs untouched, and no aliasing
-// of either input (the PR 2 regression class).
-func FuzzMergeSorted(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{1, 2, 3}, []byte{})
-	f.Add([]byte{}, []byte{4, 5})
-	f.Add([]byte{1, 3, 5}, []byte{2, 3, 4})
-	f.Fuzz(func(t *testing.T, da, db []byte) {
-		a := sortedDedup(decodeIDs(da))
-		b := sortedDedup(decodeIDs(db))
-		origA := append([]int(nil), a...)
-		origB := append([]int(nil), b...)
-		out := mergeSorted(a, b)
-		if !isSortedDeduped(out) {
-			t.Fatalf("not sorted/deduped: %v", out)
-		}
-		union := map[int]bool{}
-		for _, v := range origA {
-			union[v] = true
-		}
-		for _, v := range origB {
-			union[v] = true
-		}
-		keys := make([]int, 0, len(union))
-		for v := range union {
-			keys = append(keys, v)
-		}
-		sort.Ints(keys)
-		if len(out) != len(keys) {
-			t.Fatalf("union size %d, got %d: a=%v b=%v out=%v", len(keys), len(out), origA, origB, out)
-		}
-		for i, v := range keys {
-			if out[i] != v {
-				t.Fatalf("union mismatch at %d: %v vs %v", i, out, keys)
-			}
-		}
-		for i, v := range a {
-			if v != origA[i] {
-				t.Fatalf("input a mutated: %v vs %v", a, origA)
-			}
-		}
-		for i, v := range b {
-			if v != origB[i] {
-				t.Fatalf("input b mutated: %v vs %v", b, origB)
-			}
-		}
-		// No aliasing of either input: mutating the output must not leak.
-		if len(out) > 0 {
-			save := out[0]
-			out[0] = -99
-			if (len(a) > 0 && a[0] == -99) || (len(b) > 0 && b[0] == -99) {
-				t.Fatal("output aliases an input")
 			}
 			out[0] = save
 		}

@@ -107,12 +107,3 @@ func ObliviousAuto(g *graph.Graph, t *graph.Tree, p *partition.Parts) (*Shortcut
 	}
 	return best, bestM
 }
-
-// WholeTree assigns the entire spanning tree to the listed parts (the
-// paper's treatment of parts containing an apex: they get all of T).
-func WholeTree(s *Shortcut, parts []int) {
-	all := s.T.TreeEdgeIDs()
-	for _, i := range parts {
-		s.Edges[i] = append([]int(nil), all...)
-	}
-}

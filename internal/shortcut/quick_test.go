@@ -2,6 +2,7 @@ package shortcut_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +51,7 @@ func TestQuickMeasurementLaws(t *testing.T) {
 		m := s.Measure()
 		// Naive congestion.
 		count := make(map[int]int)
-		for _, ids := range s.Edges {
+		for _, ids := range s.PartEdges() {
 			for _, id := range ids {
 				count[id]++
 			}
@@ -79,34 +80,31 @@ func TestQuickMeasurementLaws(t *testing.T) {
 	}
 }
 
-// TestQuickUnionIdempotent: s ∪ s == s, and s ∪ empty == s.
+// TestQuickUnionIdempotent: s ∪ s == s, and s ∪ empty == s, where a union
+// is the concatenated PartEdges views normalized through NewNormalized.
 func TestQuickUnionIdempotent(t *testing.T) {
+	union := func(a, b *shortcut.Shortcut) (*shortcut.Shortcut, error) {
+		edges := a.PartEdges()
+		for i, ids := range b.PartEdges() {
+			edges[i] = append(edges[i], ids...)
+		}
+		return shortcut.NewNormalized(a.G, a.T, a.P, edges)
+	}
 	f := func(seed int64) bool {
 		g, tr, p, edges := randomInstance(seed)
-		s1, err := shortcut.New(g, tr, p, edges)
+		s, err := shortcut.New(g, tr, p, edges)
 		if err != nil {
 			return false
 		}
-		s2, _ := shortcut.New(g, tr, p, edges)
-		if err := s1.Union(s2); err != nil {
+		self, err := union(s, s)
+		if err != nil || !reflect.DeepEqual(self.PartEdges(), s.PartEdges()) {
 			return false
 		}
-		for i := range s1.Edges {
-			if len(s1.Edges[i]) != len(s2.Edges[i]) {
-				return false
-			}
-			for j := range s1.Edges[i] {
-				if s1.Edges[i][j] != s2.Edges[i][j] {
-					return false
-				}
-			}
-		}
-		empty := shortcut.Empty(g, tr, p)
-		before := s1.Measure()
-		if err := s1.Union(empty); err != nil {
+		withEmpty, err := union(s, shortcut.Empty(g, tr, p))
+		if err != nil {
 			return false
 		}
-		after := s1.Measure()
+		before, after := s.Measure(), withEmpty.Measure()
 		return before.Quality == after.Quality && before.Congestion == after.Congestion
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -123,7 +121,7 @@ func TestQuickMoreEdgesNeverMoreBlocks(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b1 := s1.BlockCounts()
+		b1 := s1.Measure().Blocks
 		// Add the full tree to part 0.
 		edges2 := make([][]int, len(edges))
 		for i := range edges {
@@ -134,7 +132,7 @@ func TestQuickMoreEdgesNeverMoreBlocks(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b2 := s2.BlockCounts()
+		b2 := s2.Measure().Blocks
 		return b2[0] <= b1[0] && b2[0] == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -1,6 +1,7 @@
 package shortcut_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/gen"
@@ -70,8 +71,8 @@ func TestNewRejectsDuplicateEdges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNormalized rejected mergeable duplicates: %v", err)
 	}
-	if len(s.Edges[0]) != 1 {
-		t.Fatalf("normalized edges %v, want one copy", s.Edges[0])
+	if pe := s.PartEdges(); len(pe[0]) != 1 {
+		t.Fatalf("normalized edges %v, want one copy", pe[0])
 	}
 }
 
@@ -96,7 +97,8 @@ func TestNewRejectsEmptyPart(t *testing.T) {
 
 // TestAugmentedDiameterEmptyPartErrors: the empty part's augmented diameter
 // used to come back 0 — indistinguishable from a singleton part that needs
-// no help. It must be an explicit error (PR 2's DistributedBFS bug class).
+// no help. It must be an explicit error (PR 2's DistributedBFS bug class),
+// for the diameter and for the cap search's eccentricity probe alike.
 func TestAugmentedDiameterEmptyPartErrors(t *testing.T) {
 	g := gen.Grid(3, 3).G
 	tr, err := graph.BFSTree(g, 0)
@@ -110,18 +112,25 @@ func TestAugmentedDiameterEmptyPartErrors(t *testing.T) {
 	p.Of[0], p.Of[1] = 0, 0
 	// Bypass New (which now rejects the empty part) the way a hand-rolled
 	// caller would.
-	s := &shortcut.Shortcut{G: g, T: tr, P: p, Edges: make([][]int, 2)}
+	s := &shortcut.Shortcut{G: g, T: tr, P: p}
 	if _, err := s.AugmentedDiameter(1); err == nil {
 		t.Fatal("empty part reported a diameter instead of an error")
 	}
 	if _, err := s.AugmentedDiameter(7); err == nil {
 		t.Fatal("out-of-range part reported a diameter instead of an error")
 	}
+	if _, err := s.AugmentedEcc(1); err == nil {
+		t.Fatal("empty part reported an eccentricity instead of an error")
+	}
+	if _, err := s.AugmentedEcc(7); err == nil {
+		t.Fatal("out-of-range part reported an eccentricity instead of an error")
+	}
 }
 
 // TestAugmentedDiameterDisconnectedErrors: shortcut edges that never touch
 // the part leave the augmented subgraph disconnected; that must surface as
-// an error, not a raw sentinel the caller can mistake for a diameter.
+// an error, not a raw sentinel the caller can mistake for a diameter or an
+// eccentricity.
 func TestAugmentedDiameterDisconnectedErrors(t *testing.T) {
 	g := gen.Grid(3, 3).G
 	tr, err := graph.BFSTree(g, 0)
@@ -149,5 +158,11 @@ func TestAugmentedDiameterDisconnectedErrors(t *testing.T) {
 	}
 	if _, err := s.AugmentedDiameter(0); err == nil {
 		t.Fatal("disconnected augmented subgraph reported a diameter")
+	}
+	if _, err := s.AugmentedEcc(0); !errors.Is(err, graph.ErrDisconnected) {
+		t.Fatalf("disconnected augmented subgraph: eccentricity error %v, want ErrDisconnected", err)
+	}
+	if _, err := s.AugmentedEccs(); !errors.Is(err, graph.ErrDisconnected) {
+		t.Fatalf("disconnected augmented subgraph: AugmentedEccs error %v, want ErrDisconnected", err)
 	}
 }

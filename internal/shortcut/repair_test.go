@@ -2,6 +2,7 @@ package shortcut_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -30,15 +31,8 @@ func checkOracle(t *testing.T, m *shortcut.Maintained) {
 	}
 	ws := shortcut.ConstructPrio(m.G, m.T, m.P, m.Cap, m.Prio)
 	gs := m.Shortcut()
-	for i := range ws.Edges {
-		if len(ws.Edges[i]) != len(gs.Edges[i]) {
-			t.Fatalf("part %d: shortcut edges %v, oracle %v", i, gs.Edges[i], ws.Edges[i])
-		}
-		for j := range ws.Edges[i] {
-			if ws.Edges[i][j] != gs.Edges[i][j] {
-				t.Fatalf("part %d: shortcut edges %v, oracle %v", i, gs.Edges[i], ws.Edges[i])
-			}
-		}
+	if got, want := gs.PartEdges(), ws.PartEdges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shortcut edges %v, oracle %v", got, want)
 	}
 }
 

@@ -1,39 +1,48 @@
 // Package shortcut implements tree-restricted low-congestion shortcuts
 // (paper Definitions 9-13): the Shortcut object, exact quality measurement
-// (congestion, block parameter, quality q(d) = b·d + c), and two
-// constructors — the oblivious tree-claiming construction in the spirit of
-// [HIZ16a] (uses no structural knowledge) and the treewidth-witness
-// construction realizing Theorem 5 ([HIZ16b]).
+// (congestion, block parameter, quality q(d) = b·d + c), and the
+// constructors — the flooding construction (Construct, ConstructPrio,
+// ConstructAuto, and FromFloodState for a converged flood state), the
+// oblivious tree-claiming construction in the spirit of [HIZ16a]
+// (Oblivious, ObliviousAuto), the treewidth-witness construction realizing
+// Theorem 5 ([HIZ16b], FromTreewidth), explicit per-part assignments (New,
+// NewNormalized, Empty), and incremental repair under churn (Maintain).
 //
-// The measurement paths are dense: all per-part accounting runs over
-// epoch-stamped scratch slices (graph.Scratch) and a single reused
-// union-find forest, so measuring a shortcut allocates O(parts) memory
-// rather than O(parts · n) map churn.
+// A shortcut is stored the way the paper's framework reasons about it: per
+// tree edge, the sorted IDs of the parts that use it, in one int32 CSR
+// indexed by the edge's child vertex — the flooding state's own indexing.
+// Congestion is the longest list, and block counts come from one bottom-up
+// walk of T over the lists. Per-part edge lists are a derived view
+// (PartEdges); the per-edge lists are read with EdgeParts.
 package shortcut
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
-// Shortcut assigns each part a set of tree edges (its Hᵢ). All edges must
-// belong to the spanning tree T (Definition 10: T-restricted).
+// Shortcut assigns each part a set of tree edges (its Hᵢ). All edges belong
+// to the spanning tree T (Definition 10: T-restricted).
 type Shortcut struct {
-	G     *graph.Graph
-	T     *graph.Tree
-	P     *partition.Parts
-	Edges [][]int // per part: sorted tree edge IDs
+	G *graph.Graph
+	T *graph.Tree
+	P *partition.Parts
+	// The parts using v's parent edge are parts[off[v]:off[v+1]], sorted
+	// ascending; the root's list is empty.
+	off   []int32
+	parts []int32
 }
 
-// New wraps and validates a shortcut assignment: t and p must belong to g
-// (by identity — a tree of a different graph would silently interpret g's
-// edge IDs against the wrong edge set), every assigned edge must be an edge
-// of T, no part may be empty, and each part's list must be free of
-// duplicates (it is returned sorted). Constructions that legitimately merge
-// overlapping edge sets should use NewNormalized.
+// New wraps and validates a per-part shortcut assignment: t and p must
+// belong to g (by identity — a tree of a different graph would silently
+// interpret g's edge IDs against the wrong edge set), every assigned edge
+// must be an edge of T, no part may be empty, and each part's list must be
+// free of duplicates. Constructions that legitimately merge overlapping
+// edge sets should use NewNormalized.
 func New(g *graph.Graph, t *graph.Tree, p *partition.Parts, edges [][]int) (*Shortcut, error) {
 	return build(g, t, p, edges, false)
 }
@@ -47,21 +56,17 @@ func NewNormalized(g *graph.Graph, t *graph.Tree, p *partition.Parts, edges [][]
 }
 
 func build(g *graph.Graph, t *graph.Tree, p *partition.Parts, edges [][]int, dedup bool) (*Shortcut, error) {
-	if t.G != g {
-		return nil, fmt.Errorf("shortcut: tree belongs to a different graph")
-	}
-	if p.G != g {
-		return nil, fmt.Errorf("shortcut: parts belong to a different graph")
+	if err := checkOwners(g, t, p); err != nil {
+		return nil, err
 	}
 	if len(edges) != p.NumParts() {
 		return nil, fmt.Errorf("shortcut: %d edge sets for %d parts", len(edges), p.NumParts())
 	}
-	for i, set := range p.Sets {
-		if len(set) == 0 {
-			return nil, fmt.Errorf("shortcut: part %d is empty", i)
-		}
-	}
-	s := &Shortcut{G: g, T: t, P: p, Edges: make([][]int, len(edges))}
+	// Validate each part's list and count its edges per child vertex, then
+	// fill the per-edge lists in ascending part order, which leaves every
+	// list sorted.
+	s := &Shortcut{G: g, T: t, P: p, off: make([]int32, g.N()+1)}
+	lists := make([][]int, len(edges))
 	for i, ids := range edges {
 		for _, id := range ids {
 			if id < 0 || id >= g.M() {
@@ -75,9 +80,107 @@ func build(g *graph.Graph, t *graph.Tree, p *partition.Parts, edges [][]int, ded
 		if !dedup && len(out) != len(ids) {
 			return nil, fmt.Errorf("shortcut: part %d has %d duplicate edge IDs", i, len(ids)-len(out))
 		}
-		s.Edges[i] = out
+		for _, id := range out {
+			s.off[s.child(id)+1]++
+		}
+		lists[i] = out
+	}
+	for v := 0; v < g.N(); v++ {
+		s.off[v+1] += s.off[v]
+	}
+	s.parts = make([]int32, s.off[g.N()])
+	cur := slices.Clone(s.off[:g.N()])
+	for i, ids := range lists {
+		for _, id := range ids {
+			c := s.child(id)
+			s.parts[cur[c]] = int32(i)
+			cur[c]++
+		}
 	}
 	return s, nil
+}
+
+// checkOwners enforces that t and p belong to g and that no part is empty.
+func checkOwners(g *graph.Graph, t *graph.Tree, p *partition.Parts) error {
+	if t.G != g {
+		return fmt.Errorf("shortcut: tree belongs to a different graph")
+	}
+	if p.G != g {
+		return fmt.Errorf("shortcut: parts belong to a different graph")
+	}
+	for i, set := range p.Sets {
+		if len(set) == 0 {
+			return fmt.Errorf("shortcut: part %d is empty", i)
+		}
+	}
+	return nil
+}
+
+// child returns the child endpoint of tree edge id, or -1 if id is not a
+// live tree edge.
+func (s *Shortcut) child(id int) int {
+	if s.G.EdgeRemoved(id) {
+		return -1
+	}
+	e := s.G.Edge(id)
+	switch id {
+	case s.T.ParentEdge[e.U]:
+		return e.U
+	case s.T.ParentEdge[e.V]:
+		return e.V
+	}
+	return -1
+}
+
+// at returns the parts using v's parent edge.
+func (s *Shortcut) at(v int) []int32 {
+	return s.parts[s.off[v]:s.off[v+1]:s.off[v+1]]
+}
+
+// EdgeParts returns the sorted IDs of the parts whose shortcut uses edge id
+// (nil for a non-tree edge). The slice is shared with the shortcut and must
+// not be modified.
+func (s *Shortcut) EdgeParts(id int) []int32 {
+	if c := s.child(id); c != -1 {
+		return s.at(c)
+	}
+	return nil
+}
+
+// PartEdges returns each part's shortcut Hᵢ as sorted tree edge IDs: the
+// per-part view of the assignment, freshly allocated on every call.
+func (s *Shortcut) PartEdges() [][]int {
+	out := s.transpose()
+	for _, ids := range out {
+		sort.Ints(ids)
+	}
+	return out
+}
+
+// transpose returns each part's shortcut edges in vertex order: the store
+// transposed into per-part lists carved from one slab.
+func (s *Shortcut) transpose() [][]int {
+	np := s.P.NumParts()
+	off := make([]int, np+1)
+	for _, i := range s.parts {
+		off[i+1]++
+	}
+	for i := 0; i < np; i++ {
+		off[i+1] += off[i]
+	}
+	slab := make([]int, len(s.parts))
+	cur := slices.Clone(off[:np])
+	for v := 0; v < s.G.N(); v++ {
+		for _, i := range s.at(v) {
+			slab[cur[i]] = s.T.ParentEdge[v]
+			cur[i]++
+		}
+	}
+	out := make([][]int, np)
+	for i := range out {
+		out[i] = slab[off[i]:off[i+1]:off[i+1]]
+	}
+	return out
 }
 
 // sortedDedup returns a fresh sorted slice of the distinct values of ids.
@@ -114,21 +217,20 @@ type Measurement struct {
 }
 
 // Measure computes congestion, block parameters, and quality exactly.
+// Blocks[i] counts the block components of part i: connected components
+// of (V, Hᵢ) containing at least one vertex of the part (Definition 12; a
+// part vertex not covered by Hᵢ is a singleton block).
 func (s *Shortcut) Measure() Measurement {
 	m := Measurement{TreeDiameter: 2 * s.T.Height()}
 	if m.TreeDiameter == 0 {
 		m.TreeDiameter = 1
 	}
-	use := s.G.AcquireScratch() // edge ID -> #parts using it
-	for _, ids := range s.Edges {
-		for _, id := range ids {
-			if c := int(use.Add(id, 1)); c > m.Congestion {
-				m.Congestion = c
-			}
+	for v := 0; v < s.G.N(); v++ {
+		if c := int(s.off[v+1] - s.off[v]); c > m.Congestion {
+			m.Congestion = c
 		}
 	}
-	s.G.ReleaseScratch(use)
-	m.Blocks = s.BlockCounts()
+	m.Blocks = s.blocks(nil)
 	for _, b := range m.Blocks {
 		if b > m.MaxBlocks {
 			m.MaxBlocks = b
@@ -138,134 +240,98 @@ func (s *Shortcut) Measure() Measurement {
 	return m
 }
 
-// BlockCounts returns, per part, the number of block components: connected
-// components of (V, Hᵢ) containing at least one vertex of the part
-// (Definition 12; a part vertex not covered by Hᵢ is a singleton block).
-func (s *Shortcut) BlockCounts() []int {
+// BlockTops returns, per vertex, the sorted list of parts for which the
+// vertex is the topmost point of a block of (V, Hᵢ) — the per-vertex
+// decomposition of Measure's block counts into locally decidable
+// indicators, so the per-part sums always equal Measurement.Blocks. A
+// vertex v tops a block of part i iff i is absent from the list of v's
+// parent edge (no H-edge continues upward) while the component below
+// reaches a member of part i: v itself is one, or a child's edge carries i
+// and its component does. The pipelined block-count convergecast of the
+// cap search streams exactly these indicators to the root.
+//
+// Each indicator depends only on state the construction protocol already
+// holds at v (its own forwarded set, its children's admitted sets, and one
+// touch bit per admitted part carried up with them), so a deployed network
+// computes BlockTops with no extra rounds.
+func (s *Shortcut) BlockTops() [][]int32 {
+	tops := make([][]int32, s.G.N())
+	s.blocks(tops)
+	return tops
+}
+
+// State bits of a part at the vertex blocks is visiting.
+const (
+	stUp      = 1 // the part's list continues over the vertex's parent edge
+	stTouched = 2 // the part's component at the vertex reaches a member
+)
+
+// blocks is the one bottom-up walk of T behind Measure and BlockTops: it
+// returns the per-part block counts and, when tops is non-nil, records each
+// block at its top vertex. Every component of (V, Hᵢ) is a subtree of T
+// with one top; touch[k] carries, per list slot, whether the component
+// below that edge reaches a member of the slot's part, and a component is
+// counted at its top when it does.
+func (s *Shortcut) blocks(tops [][]int32) []int {
 	out := make([]int, s.P.NumParts())
-	// The union-find runs over a local index space of the vertices the
-	// part's shortcut edges actually touch, so the whole count is
-	// O(Σ|Hᵢ| + Σ|Pᵢ|) — a per-part Reset over all n vertices made this
-	// quadratic in the part count, which the million-node cap search
-	// cannot afford. An untouched part member is its own singleton block
-	// and is counted directly by its global vertex; a touched local root
-	// is counted by its (touched, hence disjoint) global vertex.
-	loc := s.G.AcquireScratch() // global vertex -> local touched index
-	defer s.G.ReleaseScratch(loc)
-	reps := s.G.AcquireScratch()
-	defer s.G.ReleaseScratch(reps)
-	var touched []int
-	uf := graph.NewUnionFind(0)
-	for i, ids := range s.Edges {
-		loc.Reset()
-		touched = touched[:0]
-		for _, id := range ids {
-			e := s.G.Edge(id)
-			if !loc.Has(e.U) {
-				loc.Set(e.U, int32(len(touched)))
-				touched = append(touched, e.U)
+	touch := make([]bool, len(s.parts))
+	st := s.G.AcquireScratch() // part -> state bits at v
+	defer s.G.ReleaseScratch(st)
+	for oi := len(s.T.Order) - 1; oi >= 0; oi-- {
+		v := s.T.Order[oi]
+		own := s.P.Of[v]
+		if len(s.T.Children[v]) == 0 {
+			// A leaf's components reach a member only through v itself.
+			stops := own != -1
+			for k := s.off[v]; k < s.off[v+1]; k++ {
+				touch[k] = int(s.parts[k]) == own
+				stops = stops && !touch[k]
 			}
-			if !loc.Has(e.V) {
-				loc.Set(e.V, int32(len(touched)))
-				touched = append(touched, e.V)
+			if stops {
+				countTop(out, tops, v, own)
+			}
+			continue
+		}
+		st.Reset()
+		for _, i := range s.at(v) {
+			st.Set(int(i), stUp)
+		}
+		if own != -1 {
+			arrive(st, out, tops, v, own)
+		}
+		for _, c := range s.T.Children[v] {
+			for k := s.off[c]; k < s.off[c+1]; k++ {
+				if touch[k] {
+					arrive(st, out, tops, v, int(s.parts[k]))
+				}
 			}
 		}
-		uf.Reset(len(touched))
-		for _, id := range ids {
-			e := s.G.Edge(id)
-			uf.Union(int(loc.GetOr(e.U, -1)), int(loc.GetOr(e.V, -1)))
+		for k := s.off[v]; k < s.off[v+1]; k++ {
+			touch[k] = st.GetOr(int(s.parts[k]), 0)&stTouched != 0
 		}
-		reps.Reset()
-		distinct := 0
-		for _, v := range s.P.Sets[i] {
-			r := v
-			if loc.Has(v) {
-				r = touched[uf.Find(int(loc.GetOr(v, -1)))]
-			}
-			if reps.Visit(r) {
-				distinct++
-			}
+		if tops != nil {
+			slices.Sort(tops[v])
 		}
-		out[i] = distinct
 	}
 	return out
 }
 
-// BlockTops returns, per vertex, the sorted list of parts for which the
-// vertex is the topmost point of a block of (V, Hᵢ) — the per-vertex
-// decomposition of BlockCounts into locally decidable indicators. A vertex
-// v tops a block of part i iff i is absent from v's own admitted set (its
-// parent edge is not in Hᵢ, so no H-edge continues upward) while either a
-// child admitted i (v closes one or more upward chains) or v is a member
-// of part i (an uncovered member is its own singleton block). Every block
-// has exactly one top, so for assignments whose H-components all touch
-// their part — true for the flooding and claiming constructions, whose
-// admitted chains grow upward from part vertices — the per-part sums of
-// these indicators equal BlockCounts; the pipelined block-count
-// convergecast of the cap search validates exactly that after streaming
-// the indicators to the root.
-//
-// Each indicator depends only on state the construction protocol already
-// holds at v (its own forwarded set and its children's admitted sets), so
-// a deployed network computes BlockTops with zero extra communication.
-func (s *Shortcut) BlockTops() [][]int32 {
-	n := s.G.N()
-	t := s.T
-	// admitted[v]: parts whose shortcut contains v's parent edge;
-	// fromChild[v]: parts admitted by at least one child of v. Iterating
-	// parts in ascending order keeps both lists sorted.
-	admitted := make([][]int32, n)
-	fromChild := make([][]int32, n)
-	for i, ids := range s.Edges {
-		for _, id := range ids {
-			e := s.G.Edge(id)
-			child, parent := e.U, e.V
-			if t.ParentEdge[child] != id {
-				child, parent = e.V, e.U
-			}
-			admitted[child] = append(admitted[child], int32(i))
-			if l := fromChild[parent]; len(l) == 0 || l[len(l)-1] != int32(i) {
-				fromChild[parent] = append(fromChild[parent], int32(i))
-			}
-		}
+// arrive records that a touched component of part i reaches v; the first
+// arrival of a part that stops at v counts its block.
+func arrive(st *graph.Scratch, out []int, tops [][]int32, v, i int) {
+	b := st.GetOr(i, 0)
+	if b&(stUp|stTouched) == 0 {
+		countTop(out, tops, v, i)
 	}
-	tops := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		own := int32(-1)
-		if pi := s.P.Of[v]; pi != -1 {
-			own = int32(pi)
-		}
-		adm := admitted[v]
-		ai := 0
-		inAdmitted := func(i int32) bool {
-			for ai < len(adm) && adm[ai] < i {
-				ai++
-			}
-			return ai < len(adm) && adm[ai] == i
-		}
-		// Merge {own} into the sorted fromChild list, skipping admitted
-		// parts; candidates arrive in ascending order so inAdmitted's
-		// cursor advances monotonically.
-		ownDone := own == -1
-		for _, i := range fromChild[v] {
-			if !ownDone && own < i {
-				if !inAdmitted(own) {
-					tops[v] = append(tops[v], own)
-				}
-				ownDone = true
-			}
-			if !ownDone && own == i {
-				ownDone = true
-			}
-			if !inAdmitted(i) {
-				tops[v] = append(tops[v], i)
-			}
-		}
-		if !ownDone && !inAdmitted(own) {
-			tops[v] = append(tops[v], own)
-		}
+	st.Set(i, b|stTouched)
+}
+
+// countTop counts one block of part i topped at v.
+func countTop(out []int, tops [][]int32, v, i int) {
+	out[i]++
+	if tops != nil {
+		tops[v] = append(tops[v], int32(i))
 	}
-	return tops
 }
 
 // AugmentedDiameter returns the hop diameter of G[Pᵢ] + Hᵢ — the subgraph
@@ -277,15 +343,19 @@ func (s *Shortcut) BlockTops() [][]int32 {
 // disconnected) is an explicit error: before this check the empty case
 // returned diameter 0, masquerading as a perfectly-helped part.
 func (s *Shortcut) AugmentedDiameter(i int) (int, error) {
-	aug, _, err := s.augmentedSubgraph(i)
-	if err != nil {
+	if err := s.checkPart(i); err != nil {
 		return 0, err
 	}
-	d := graph.Diameter(aug)
-	if d < 0 {
-		return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
+	a := s.augment(i, s.transpose()[i])
+	diam := 0
+	for src := int32(0); src < int32(len(a.off)-1); src++ {
+		ecc, ok := a.ecc(src)
+		if !ok {
+			return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
+		}
+		diam = max(diam, ecc)
 	}
-	return d, nil
+	return diam, nil
 }
 
 // AugmentedEcc returns the hop eccentricity of part i's minimum vertex in
@@ -294,24 +364,68 @@ func (s *Shortcut) AugmentedDiameter(i int) (int, error) {
 // and ecc ≤ diameter ≤ 2·ecc, so it tracks the quantity the framework
 // bounds while staying cheap enough to evaluate per doubling guess. The
 // same empty-part and disconnection cases are explicit errors.
-//
-// Unlike AugmentedDiameter, the probe never materializes a *graph.Graph:
-// the cap search evaluates it parts × guesses times, and per-probe
-// adjacency-list construction dominated the whole search at scale. It runs
-// BFS over a flat local CSR assembled with one counting pass instead.
 func (s *Shortcut) AugmentedEcc(i int) (int, error) {
+	if err := s.checkPart(i); err != nil {
+		return 0, err
+	}
+	return s.augmentedEcc(i, s.transpose()[i])
+}
+
+// AugmentedEccs returns AugmentedEcc for every part, transposing the
+// assignment into per-part edge lists once instead of once per part.
+func (s *Shortcut) AugmentedEccs() ([]int, error) {
+	out := make([]int, s.P.NumParts())
+	for i, ids := range s.transpose() {
+		if err := s.checkPart(i); err != nil {
+			return nil, err
+		}
+		ecc, err := s.augmentedEcc(i, ids)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ecc
+	}
+	return out, nil
+}
+
+func (s *Shortcut) checkPart(i int) error {
 	if i < 0 || i >= s.P.NumParts() {
-		return 0, fmt.Errorf("shortcut: part %d out of range for %d parts", i, s.P.NumParts())
+		return fmt.Errorf("shortcut: part %d out of range for %d parts", i, s.P.NumParts())
 	}
 	if len(s.P.Sets[i]) == 0 {
-		return 0, fmt.Errorf("shortcut: part %d is empty, augmented diameter undefined", i)
+		return fmt.Errorf("shortcut: part %d is empty, augmented diameter undefined", i)
 	}
+	return nil
+}
+
+func (s *Shortcut) augmentedEcc(i int, ids []int) (int, error) {
+	ecc, ok := s.augment(i, ids).ecc(0)
+	if !ok {
+		return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
+	}
+	return ecc, nil
+}
+
+// augmented is G[Pᵢ] + Hᵢ as a flat local CSR: local vertex l's neighbours
+// are dst[off[l]:off[l+1]]. Local vertex 0 is the part's minimum vertex.
+// The probes never materialize a *graph.Graph: the cap search evaluates
+// them parts × guesses times, and per-probe adjacency-list construction
+// dominated the whole search at scale.
+type augmented struct {
+	off, dst []int32
+}
+
+// augment assembles part i's augmented subgraph from its shortcut edges
+// ids: the part's members first, then the shortcut endpoints outside it;
+// arcs are the induced part arcs at both endpoints plus both directions of
+// each shortcut edge, laid out with one counting pass.
+func (s *Shortcut) augment(i int, ids []int) augmented {
 	g := s.G
 	in := g.AcquireScratch() // vertex -> local index
 	defer g.ReleaseScratch(in)
 	partIn := g.AcquireScratch()
 	defer g.ReleaseScratch(partIn)
-	verts := make([]int, 0, len(s.P.Sets[i])+2*len(s.Edges[i]))
+	verts := make([]int, 0, len(s.P.Sets[i])+2*len(ids))
 	for _, v := range s.P.Sets[i] {
 		if in.Visit(v) {
 			verts = append(verts, v)
@@ -319,7 +433,7 @@ func (s *Shortcut) AugmentedEcc(i int) (int, error) {
 		partIn.Visit(v)
 	}
 	numPart := len(verts)
-	for _, id := range s.Edges[i] {
+	for _, id := range ids {
 		e := g.Edge(id)
 		if in.Visit(e.U) {
 			verts = append(verts, e.U)
@@ -331,181 +445,68 @@ func (s *Shortcut) AugmentedEcc(i int) (int, error) {
 	for li, v := range verts {
 		in.Set(v, int32(li))
 	}
-	// Local CSR: count arc slots (induced part arcs at both endpoints plus
-	// both directions of each shortcut edge), prefix-sum, fill.
 	nl := len(verts)
-	off := make([]int32, nl+1)
+	a := augmented{off: make([]int32, nl+1)}
 	for _, v := range verts[:numPart] {
 		li := in.GetOr(v, -1)
-		for _, a := range g.Adj(v) {
-			if partIn.Has(a.To) {
-				off[li+1]++
+		for _, arc := range g.Adj(v) {
+			if partIn.Has(arc.To) {
+				a.off[li+1]++
 			}
 		}
 	}
-	for _, id := range s.Edges[i] {
+	for _, id := range ids {
 		e := g.Edge(id)
-		off[in.GetOr(e.U, -1)+1]++
-		off[in.GetOr(e.V, -1)+1]++
+		a.off[in.GetOr(e.U, -1)+1]++
+		a.off[in.GetOr(e.V, -1)+1]++
 	}
 	for li := 0; li < nl; li++ {
-		off[li+1] += off[li]
+		a.off[li+1] += a.off[li]
 	}
-	dst := make([]int32, off[nl])
-	cur := make([]int32, nl)
-	copy(cur, off[:nl])
+	a.dst = make([]int32, a.off[nl])
+	cur := slices.Clone(a.off[:nl])
 	for _, v := range verts[:numPart] {
 		li := in.GetOr(v, -1)
-		for _, a := range g.Adj(v) {
-			if partIn.Has(a.To) {
-				dst[cur[li]] = in.GetOr(a.To, -1)
+		for _, arc := range g.Adj(v) {
+			if partIn.Has(arc.To) {
+				a.dst[cur[li]] = in.GetOr(arc.To, -1)
 				cur[li]++
 			}
 		}
 	}
-	for _, id := range s.Edges[i] {
+	for _, id := range ids {
 		e := g.Edge(id)
 		lu, lv := in.GetOr(e.U, -1), in.GetOr(e.V, -1)
-		dst[cur[lu]] = lv
+		a.dst[cur[lu]] = lv
 		cur[lu]++
-		dst[cur[lv]] = lu
+		a.dst[cur[lv]] = lu
 		cur[lv]++
 	}
+	return a
+}
+
+// ecc returns the BFS eccentricity of local vertex src and whether the BFS
+// reached every local vertex.
+func (a augmented) ecc(src int32) (int, bool) {
+	nl := len(a.off) - 1
 	dist := make([]int32, nl)
 	for li := range dist {
 		dist[li] = -1
 	}
 	queue := make([]int32, 0, nl)
-	src := in.GetOr(s.P.Sets[i][0], -1)
 	dist[src] = 0
 	queue = append(queue, src)
 	ecc := int32(0)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
 		du := dist[u]
-		if du > ecc {
-			ecc = du
-		}
-		for _, w := range dst[off[u]:off[u+1]] {
+		ecc = max(ecc, du)
+		for _, w := range a.dst[a.off[u]:a.off[u+1]] {
 			if dist[w] == -1 {
 				dist[w] = du + 1
 				queue = append(queue, w)
 			}
 		}
 	}
-	if len(queue) != nl {
-		return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
-	}
-	return int(ecc), nil
-}
-
-// augmentedSubgraph builds G[Pᵢ] + Hᵢ — the subgraph induced by part i plus
-// its shortcut edges (with their endpoints) — and returns it with the local
-// index of the part's minimum vertex (the probe source).
-func (s *Shortcut) augmentedSubgraph(i int) (*graph.Graph, int, error) {
-	if i < 0 || i >= s.P.NumParts() {
-		return nil, 0, fmt.Errorf("shortcut: part %d out of range for %d parts", i, s.P.NumParts())
-	}
-	if len(s.P.Sets[i]) == 0 {
-		return nil, 0, fmt.Errorf("shortcut: part %d is empty, augmented diameter undefined", i)
-	}
-	g := s.G
-	in := g.AcquireScratch() // vertex -> local index (assigned after sort)
-	defer g.ReleaseScratch(in)
-	// Collect the augmented vertex set: the part plus shortcut endpoints.
-	verts := make([]int, 0, len(s.P.Sets[i])+2*len(s.Edges[i]))
-	for _, v := range s.P.Sets[i] {
-		if in.Visit(v) {
-			verts = append(verts, v)
-		}
-	}
-	numPart := len(verts)
-	for _, id := range s.Edges[i] {
-		e := g.Edge(id)
-		if in.Visit(e.U) {
-			verts = append(verts, e.U)
-		}
-		if in.Visit(e.V) {
-			verts = append(verts, e.V)
-		}
-	}
-	sort.Ints(verts)
-	for li, v := range verts {
-		// Part members get values < numPart only by coincidence after the
-		// sort, so store the local index and tag part membership separately.
-		in.Set(v, int32(li))
-	}
-	partIn := g.AcquireScratch()
-	defer g.ReleaseScratch(partIn)
-	for _, v := range s.P.Sets[i] {
-		partIn.Visit(v)
-	}
-	aug := graph.NewWithEdgeCapacity(len(verts), numPart+len(s.Edges[i]))
-	// Induced part edges, discovered by scanning part adjacency (each edge
-	// once, from its canonical U endpoint).
-	for _, v := range s.P.Sets[i] {
-		for _, a := range g.Adj(v) {
-			if !partIn.Has(a.To) {
-				continue
-			}
-			e := g.Edge(a.ID)
-			if e.U != v {
-				continue // the arc at the other endpoint adds it
-			}
-			aug.AddEdge(int(in.GetOr(e.U, -1)), int(in.GetOr(e.V, -1)), 1)
-		}
-	}
-	for _, id := range s.Edges[i] {
-		e := g.Edge(id)
-		aug.AddEdge(int(in.GetOr(e.U, -1)), int(in.GetOr(e.V, -1)), 1)
-	}
-	return aug, int(in.GetOr(s.P.Sets[i][0], -1)), nil
-}
-
-// Union merges another shortcut assignment (same G, T, P) into s,
-// part-by-part. Used to combine local and global shortcuts. The "same G, T,
-// P" contract is enforced by identity: a union across different graphs or
-// trees would silently mix unrelated edge ID spaces.
-func (s *Shortcut) Union(other *Shortcut) error {
-	if other.G != s.G {
-		return fmt.Errorf("shortcut: union over different graphs")
-	}
-	if other.T != s.T {
-		return fmt.Errorf("shortcut: union over different trees")
-	}
-	if other.P != s.P {
-		return fmt.Errorf("shortcut: union over different part families")
-	}
-	for i := range s.Edges {
-		s.Edges[i] = mergeSorted(s.Edges[i], other.Edges[i])
-	}
-	return nil
-}
-
-// mergeSorted merges two sorted deduplicated slices into a fresh sorted
-// deduplicated slice. The result never aliases a or b, so an in-place
-// mutation of the merge result cannot corrupt either input's owner.
-func mergeSorted(a, b []int) []int {
-	if len(b) == 0 {
-		return append(make([]int, 0, len(a)), a...)
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return int(ecc), len(queue) == nl
 }

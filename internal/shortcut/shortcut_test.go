@@ -67,12 +67,14 @@ func TestEmptyShortcutMeasurement(t *testing.T) {
 
 func TestWholeTreeShortcut(t *testing.T) {
 	g, tr, p := gridParts(t, 4, 4)
-	s := shortcut.Empty(g, tr, p)
-	all := make([]int, p.NumParts())
+	all := make([][]int, p.NumParts())
 	for i := range all {
-		all[i] = i
+		all[i] = tr.TreeEdgeIDs()
 	}
-	shortcut.WholeTree(s, all)
+	s, err := shortcut.New(g, tr, p, all)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := s.Measure()
 	if m.MaxBlocks != 1 {
 		t.Fatalf("whole-tree blocks %d want 1", m.MaxBlocks)
@@ -106,24 +108,29 @@ func TestBlockCountsDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := s.BlockCounts()[0]; b != 2 {
+	if b := s.Measure().Blocks[0]; b != 2 {
 		t.Fatalf("blocks %d want 2", b)
 	}
 }
 
 func TestUnionMergesAssignments(t *testing.T) {
 	g, tr, p := gridParts(t, 3, 4)
-	s1 := shortcut.Empty(g, tr, p)
-	s2 := shortcut.Empty(g, tr, p)
 	ids := tr.TreeEdgeIDs()
-	s1.Edges[0] = []int{ids[0]}
-	s2.Edges[0] = []int{ids[0], ids[1]}
-	s2.Edges[1] = []int{ids[2]}
-	if err := s1.Union(s2); err != nil {
+	a := make([][]int, p.NumParts())
+	b := make([][]int, p.NumParts())
+	a[0] = []int{ids[0]}
+	b[0] = []int{ids[0], ids[1]}
+	b[1] = []int{ids[2]}
+	union := make([][]int, p.NumParts())
+	for i := range union {
+		union[i] = append(append(union[i], a[i]...), b[i]...)
+	}
+	s, err := shortcut.NewNormalized(g, tr, p, union)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.Edges[0]) != 2 || len(s1.Edges[1]) != 1 {
-		t.Fatalf("union wrong: %v", s1.Edges[:2])
+	if pe := s.PartEdges(); len(pe[0]) != 2 || len(pe[1]) != 1 {
+		t.Fatalf("union wrong: %v", pe[:2])
 	}
 }
 
@@ -230,7 +237,7 @@ func TestFromTreewidthSinglePartGetsConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := res.S.BlockCounts()[0]; b != 1 {
+	if b := res.S.Measure().Blocks[0]; b != 1 {
 		t.Fatalf("whole-graph part has %d blocks, want 1 (gets entire tree)", b)
 	}
 }
@@ -249,7 +256,7 @@ func TestAugmentedDiameterBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := res.S.BlockCounts()
+	blocks := res.S.Measure().Blocks
 	for i := 0; i < p.NumParts(); i++ {
 		d, err := res.S.AugmentedDiameter(i)
 		if err != nil {
